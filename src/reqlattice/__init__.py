@@ -71,6 +71,7 @@ from .refinement import (
     strongest_global,
     strongest_product,
     strongest_rl,
+    witnesses,
 )
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .analysis import change_impact, classify_overlap, consistency_diagnostics
 from .errors import (
+    CatalogInvalidError,
     EmptyCatalogError,
     FocusForbiddenError,
     FocusRequiredError,
@@ -33,27 +34,19 @@ from .errors import (
     SchemaError,
     UnknownIdError,
 )
-from .model import Catalog, Issue, Severity, ValidationReport, validate
+from .model import Catalog, Issue, Severity, validate
 from .refinement import (
     RefinementGraph,
     build_graph,
-    is_weaker,
     strongest_global,
     strongest_product,
     strongest_rl,
+    witnesses,
 )
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-
-class _Refused(Exception):
-    """Internal: an analytical command hit a catalog with validation errors."""
-
-    def __init__(self, report: ValidationReport) -> None:
-        super().__init__("catalog has validation errors")
-        self.report = report
 
 
 class UnknownFlagCombo(ReqlatticeError):
@@ -89,9 +82,6 @@ def _load_catalog(path: str) -> Catalog:
 
 def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:
     catalog = _load_catalog(path)
-    report = validate(catalog)
-    if not report.ok:
-        raise _Refused(report)
     return catalog, build_graph(catalog)
 
 
@@ -172,10 +162,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         base = RequirementSet.of(members)
         kept = strongest_global(catalog, graph)
 
-    removed = [
-        (dropped, min(q for q in kept if is_weaker(graph, dropped, q)))
-        for dropped in base - kept
-    ]
+    witness = witnesses(graph, kept)
+    removed = [(dropped, witness[dropped]) for dropped in base - kept]
     if args.json:
         _emit_json(
             {
@@ -310,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Refused as refused:
+    except CatalogInvalidError as refused:
         for issue in refused.report.errors:
             _print_issue(issue, sys.stderr)
         print("refusing to analyse a catalog with validation errors", file=sys.stderr)

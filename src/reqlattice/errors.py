@@ -14,7 +14,14 @@ class EmptyCatalogError(ReqlatticeError):
 
 
 class CatalogInvalidError(ReqlatticeError):
-    """An operation requires a catalog that validates with zero errors."""
+    """An operation requires a catalog that validates with zero errors.
+
+    `report` is the failing ValidationReport.
+    """
+
+    def __init__(self, message: str, report) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class ParseError(ReqlatticeError):

@@ -80,13 +80,13 @@ def _str_field(obj: dict, key: str, where: str, default: str | None = None) -> s
 def _id_list(value, where: str) -> frozenset[str]:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected array of strings, got {type(value).__name__}")
-    seen = []
+    seen: set[str] = set()
     for item in value:
         if not isinstance(item, str):
             raise SchemaError(f"{where}: expected array of strings")
         if item in seen:
             raise SchemaError(f"{where}: duplicate entry {item!r}")
-        seen.append(item)
+        seen.add(item)
     return frozenset(seen)
 
 
@@ -165,8 +165,8 @@ def _parse_refinement(obj: dict, where: str) -> RefinementEdge:
 def loads(text: str | bytes) -> Catalog:
     """Parse and schema-check a catalog document.
 
-    Semantic validation is the caller's job: run model.validate on the
-    result before analysing it.
+    Semantic validation is separate: model.validate reports it, and
+    refinement.build_graph refuses catalogs that have errors.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -179,6 +179,8 @@ def loads(text: str | bytes) -> Catalog:
         raise ParseError(
             f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("malformed catalog document: arrays or objects nested too deeply") from exc
 
     if not isinstance(document, dict):
         raise SchemaError(f"top level: expected object, got {type(document).__name__}")
@@ -296,6 +298,16 @@ class GraphView:
                 raise ValueError(f"edge endpoint missing from view: {src} -> {dst}")
 
 
+def _node_id(prefix: str, *ids: str) -> str:
+    """`prefix__id1__id2...` with every `_` inside an id written as `_u`.
+
+    An escaped id never contains `__`, so the separators are unambiguous
+    and distinct id tuples give distinct node ids. Ids without `_` appear
+    verbatim.
+    """
+    return "__".join((prefix, *(i.replace("_", "_u") for i in ids)))
+
+
 def _label_ids(ids) -> str:
     ids = sorted(ids)
     return ", ".join(ids) if ids else "(none)"
@@ -313,24 +325,25 @@ def _country_view(catalog: Catalog, jurisdiction_id: str) -> GraphView:
         rl = algebra.partition_general_specific(catalog, product.id, Kind.RL)
         rfn = algebra.partition_general_specific(catalog, product.id, Kind.RFN)
         pid = product.id
+        rl_general, rl_specific = _node_id("rl_general", pid), _node_id("rl_specific", pid)
         nodes.extend(
             [
-                (f"rl_general__{pid}", f"RL general [{pid}]: " + _label_ids(rl.general)),
+                (rl_general, f"RL general [{pid}]: " + _label_ids(rl.general)),
                 (
-                    f"rl_specific__{pid}",
+                    rl_specific,
                     f"RL specific [{pid}, {jurisdiction_id}]: "
                     + _label_ids(rl.specific[jurisdiction_id]),
                 ),
-                (f"rfn_general__{pid}", f"RFN general [{pid}]: " + _label_ids(rfn.general)),
+                (_node_id("rfn_general", pid), f"RFN general [{pid}]: " + _label_ids(rfn.general)),
                 (
-                    f"rfn_specific__{pid}",
+                    _node_id("rfn_specific", pid),
                     f"RFN specific [{pid}, {jurisdiction_id}]: "
                     + _label_ids(rfn.specific[jurisdiction_id]),
                 ),
             ]
         )
-        edges.append(("core", f"rl_general__{pid}"))
-        edges.append(("complement", f"rl_specific__{pid}"))
+        edges.append(("core", rl_general))
+        edges.append(("complement", rl_specific))
     return GraphView(ViewKind.COUNTRY_CENTRED, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
@@ -342,10 +355,11 @@ def _product_view(catalog: Catalog, product_id: str) -> GraphView:
         jid = jurisdiction.id
         rl = algebra.requirements_for(catalog, product_id, jid, Kind.RL)
         rfn = algebra.requirements_for(catalog, product_id, jid, Kind.RFN)
-        nodes.append((f"rl__{jid}", f"RL [{product_id}, {jid}]: " + _label_ids(rl)))
-        nodes.append((f"rfn__{jid}", f"RFN [{product_id}, {jid}]: " + _label_ids(rfn)))
-        edges.append((f"rl__{jid}", "union"))
-        edges.append((f"rfn__{jid}", "union"))
+        rl_node, rfn_node = _node_id("rl", jid), _node_id("rfn", jid)
+        nodes.append((rl_node, f"RL [{product_id}, {jid}]: " + _label_ids(rl)))
+        nodes.append((rfn_node, f"RFN [{product_id}, {jid}]: " + _label_ids(rfn)))
+        edges.append((rl_node, "union"))
+        edges.append((rfn_node, "union"))
     return GraphView(ViewKind.PRODUCT_CENTRED, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
@@ -357,17 +371,17 @@ def _global_view(catalog: Catalog, graph: refinement.RefinementGraph) -> GraphVi
             jid = jurisdiction.id
             minimum = algebra.rl_min(catalog, jid)
             strongest = refinement.strongest_rl(catalog, graph, jid)
-            nodes.append((f"rl_min__{jid}", f"RL minimum [{jid}]: " + _label_ids(minimum)))
-            nodes.append((f"rl_star__{jid}", f"RL strongest [{jid}]: " + _label_ids(strongest)))
-            edges.append((f"rl_star__{jid}", "star"))
+            min_node, star_node = _node_id("rl_min", jid), _node_id("rl_star", jid)
+            nodes.append((min_node, f"RL minimum [{jid}]: " + _label_ids(minimum)))
+            nodes.append((star_node, f"RL strongest [{jid}]: " + _label_ids(strongest)))
+            edges.append((star_node, "star"))
             for product in catalog.products:
                 pid = product.id
                 projection = algebra.requirements_for(catalog, pid, jid, Kind.RL)
-                nodes.append(
-                    (f"proj__{pid}__{jid}", f"RL [{pid}, {jid}]: " + _label_ids(projection))
-                )
-                edges.append((f"proj__{pid}__{jid}", f"rl_min__{jid}"))
-                edges.append((f"proj__{pid}__{jid}", f"rl_star__{jid}"))
+                proj_node = _node_id("proj", pid, jid)
+                nodes.append((proj_node, f"RL [{pid}, {jid}]: " + _label_ids(projection)))
+                edges.append((proj_node, min_node))
+                edges.append((proj_node, star_node))
         overall = refinement.strongest_global(catalog, graph)
         nodes.append(("star", "Strongest overall: " + _label_ids(overall)))
     return GraphView(ViewKind.GLOBAL, tuple(sorted(nodes)), tuple(sorted(edges)))

@@ -286,7 +286,11 @@ def _kind_problems(req: Requirement) -> list[str]:
 
 
 def _cycle_components(nodes: Iterable[str], edges: set[tuple[str, str]]) -> list[list[str]]:
-    """Strongly connected components of size >= 2, via iterative Tarjan."""
+    """Strongly connected components of size >= 2, via iterative Tarjan.
+
+    The package's one cycle detector: `validate` reports its components,
+    and `RefinementGraph.from_edges` refuses edge sets that have any.
+    """
     adjacency: dict[str, list[str]] = {n: [] for n in nodes}
     for stronger, weaker in sorted(edges):
         adjacency[stronger].append(weaker)

@@ -3,39 +3,87 @@ optimisation built on it.
 
 A refinement edge `a -> b` declares b a weaker version of a: whoever
 satisfies a automatically satisfies b. "Weaker version" means reachability
-over declared edges, not just a direct edge; with only raw edges the
-optimisation below would depend on processing order. The edge set is
-acyclic (validation rejects cycles), so reachability is a strict partial
-order and "strongest" is well defined.
+over declared edges, not just a direct edge. The edge set is acyclic
+(validation rejects cycles), so reachability is a strict partial order and
+"strongest" is well defined.
 
-`optimize` builds the strongest set iteratively: starting from an empty
-result, each input requirement is skipped when it is already present or
-weaker than a member, inserted while evicting every member it dominates
-when it is stronger, and simply inserted when unrelated. The outcome is
-the set of maximal elements of the input, i.e. an antichain, and is
-independent of the processing order. `oracle_maximal` recomputes the same
-set by brute force over pairwise reachability and exists purely as an
-independent correctness check.
+The graph keeps the declared edges only; reachability is never
+materialised for the whole graph. Each question walks the edges it needs:
+
+* `optimize` walks once from the direct children of every input member.
+  Everything reached is dominated, and the strongest set is the input
+  minus that. The result is the set of maximal elements of the input,
+  i.e. an antichain; as a set function it has no processing order.
+* `witnesses` walks from the kept members in ascending id order and gives
+  every newly reached node the current member. A node reached from an
+  earlier member is not entered again, so each node gets the smallest
+  member above it, in one pass over the edges.
+* `is_weaker` answers from the descendant set of its second argument,
+  which the graph computes on first use and keeps.
+
+`oracle_maximal` recomputes the strongest set by brute force over pairwise
+reachability and exists purely as an independent correctness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import RequirementSet
 from .errors import CatalogInvalidError, UnknownIdError
-from .model import Catalog, validate
+from .model import Catalog, _cycle_components, validate
+
+
+def _descend(
+    direct: Mapping[str, frozenset[str]], starts: Iterable[str], seen: set[str]
+) -> list[str]:
+    """Add to `seen` every node reachable from `starts` (inclusive) and
+    return the nodes added, in visiting order.
+
+    A node already in `seen` is not entered. Callers keep `seen` closed
+    under descendants, so nothing below such a node is missed.
+    """
+    reached: list[str] = []
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        reached.append(start)
+        stack = [start]
+        while stack:
+            for child in direct[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    reached.append(child)
+                    stack.append(child)
+    return reached
+
+
+def _adjacency(
+    nodes: frozenset[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, frozenset[str]]:
+    children: dict[str, set[str]] = {n: set() for n in nodes}
+    for stronger, weaker in edges:
+        children[stronger].add(weaker)
+    return {n: frozenset(c) for n, c in children.items()}
 
 
 @dataclass(frozen=True)
 class RefinementGraph:
-    """Declared stronger->weaker edges plus their transitive closure."""
+    """Declared stronger->weaker edges over a set of requirement ids.
+
+    Descendant sets are filled in per source on first use by
+    `descendants`. They depend only on the immutable edges, so concurrent
+    readers computing the same set store equal values and need no locking.
+    """
 
     nodes: frozenset[str]
     direct: Mapping[str, frozenset[str]]
-    closure: Mapping[str, frozenset[str]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_below", {})
 
     @classmethod
     def from_edges(
@@ -46,103 +94,97 @@ class RefinementGraph:
         Raises ValueError on a cycle or an edge endpoint outside `nodes`.
         """
         node_set = frozenset(nodes)
-        adjacency: dict[str, set[str]] = {n: set() for n in node_set}
-        indegree: dict[str, int] = {n: 0 for n in node_set}
-        for stronger, weaker in edges:
+        edge_set = set(edges)
+        for stronger, weaker in edge_set:
             if stronger not in node_set or weaker not in node_set:
                 raise ValueError(f"edge endpoint outside node set: {stronger} -> {weaker}")
-            if weaker not in adjacency[stronger]:
-                adjacency[stronger].add(weaker)
-                indegree[weaker] += 1
-
-        # Kahn topological order; reachability accumulates in reverse.
-        ready = sorted(n for n, d in indegree.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for child in adjacency[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        if len(order) != len(node_set):
+        if any(a == b for a, b in edge_set) or _cycle_components(node_set, edge_set):
             raise ValueError("refinement edges contain a cycle")
+        return cls(nodes=node_set, direct=_adjacency(node_set, edge_set))
 
-        reachable: dict[str, frozenset[str]] = {}
-        for node in reversed(order):
-            weaker: set[str] = set()
-            for child in adjacency[node]:
-                weaker.add(child)
-                weaker |= reachable[child]
-            reachable[node] = frozenset(weaker)
-
-        return cls(
-            nodes=node_set,
-            direct={n: frozenset(children) for n, children in adjacency.items()},
-            closure=reachable,
-        )
+    def descendants(self, requirement_id: str) -> frozenset[str]:
+        """Every requirement weaker than `requirement_id` (reachable from it)."""
+        below = self._below.get(requirement_id)
+        if below is None:
+            self._check_known(requirement_id)
+            seen: set[str] = set()
+            _descend(self.direct, self.direct[requirement_id], seen)
+            below = self._below[requirement_id] = frozenset(seen)
+        return below
 
     def _check_known(self, requirement_id: str) -> None:
         if requirement_id not in self.nodes:
             raise UnknownIdError(f"unknown requirement: {requirement_id!r}")
 
+    def _check_all_known(self, ids: Iterable[str]) -> None:
+        unknown = set(ids) - self.nodes
+        if unknown:
+            raise UnknownIdError(f"unknown requirement: {min(unknown)!r}")
+
 
 def build_graph(catalog: Catalog) -> RefinementGraph:
-    """Materialise the refinement relation of a catalog.
+    """Validate a catalog and return its refinement graph.
 
-    Refuses catalogs with validation errors: reachability over broken or
-    cyclic edges is undefined.
+    This is the one place analyses validate: on validation errors it
+    raises CatalogInvalidError carrying the ValidationReport, because
+    reachability over broken or cyclic edges is undefined. Nothing is
+    precomputed beyond the direct edges.
     """
     report = validate(catalog)
     if not report.ok:
         raise CatalogInvalidError(
             "catalog has validation errors: "
-            + "; ".join(issue.code for issue in report.errors)
+            + "; ".join(issue.code for issue in report.errors),
+            report,
         )
-    return RefinementGraph.from_edges(
-        catalog.requirement_ids,
-        [(edge.stronger, edge.weaker) for edge in catalog.refinements],
+    nodes = catalog.requirement_ids
+    return RefinementGraph(
+        nodes=nodes,
+        direct=_adjacency(nodes, ((e.stronger, e.weaker) for e in catalog.refinements)),
     )
 
 
 def is_weaker(graph: RefinementGraph, a: str, b: str) -> bool:
     """True when `a` is a weaker version of `b` (b reaches a). Irreflexive."""
     graph._check_known(a)
-    graph._check_known(b)
-    return a in graph.closure[b]
+    return a in graph.descendants(b)
 
 
 def optimize(
-    graph: RefinementGraph,
-    members: RequirementSet | Iterable[str],
-    *,
-    order: Sequence[str] | None = None,
+    graph: RefinementGraph, members: RequirementSet | Iterable[str]
 ) -> RequirementSet:
     """Drop every requirement that has a stronger version in the input.
 
-    Iterative build-up: per requirement, skip / insert-and-evict / insert,
-    as described in the module docstring. `order` overrides the default
-    ascending-id processing order; the result is the same for any
-    permutation, which the test suite checks, so the parameter exists only
-    to exercise that property.
+    One walk from the direct children of all members marks everything
+    they dominate; the result is the input minus the marked nodes.
     """
-    pending = sorted(members if isinstance(members, RequirementSet) else set(members))
-    for requirement_id in pending:
-        graph._check_known(requirement_id)
-    if order is not None:
-        if sorted(order) != pending:
-            raise ValueError("order must be a permutation of the input set")
-        pending = list(order)
+    ids = members.members if isinstance(members, RequirementSet) else frozenset(members)
+    graph._check_all_known(ids)
+    direct = graph.direct
+    dominated: set[str] = set()
+    _descend(direct, (child for member in ids for child in direct[member]), dominated)
+    return RequirementSet(ids - dominated)
 
-    closure = graph.closure
-    result: set[str] = set()
-    for req in pending:
-        if req in result or any(req in closure[member] for member in result):
-            continue
-        dominated = {member for member in result if member in closure[req]}
-        result -= dominated
-        result.add(req)
-    return RequirementSet.of(result)
+
+def witnesses(
+    graph: RefinementGraph, kept: RequirementSet | Iterable[str]
+) -> dict[str, str]:
+    """Map every requirement below some member of `kept` to the smallest
+    (by id) such member.
+
+    For a strongest set `kept` of a base set, every dropped requirement of
+    the base is a key, and its value is the dominating witness the CLI
+    reports.
+    """
+    ids = sorted(kept.members if isinstance(kept, RequirementSet) else set(kept))
+    graph._check_all_known(ids)
+    direct = graph.direct
+    seen: set[str] = set()
+    witness: dict[str, str] = {}
+    for member in ids:
+        for node in _descend(direct, direct[member], seen):
+            witness[node] = member
+    return witness
 
 
 def oracle_maximal(
@@ -150,9 +192,9 @@ def oracle_maximal(
 ) -> RequirementSet:
     """Brute-force strongest set: keep r iff no other input member reaches r.
 
-    Correctness oracle only. Deliberately quadratic and deliberately blind
-    to the precomputed closure: reachability is recomputed here with a
-    plain stack walk over the declared edges.
+    Correctness oracle only. Deliberately quadratic and deliberately
+    independent of the traversal helpers: reachability is recomputed here
+    with a plain stack walk over the declared edges.
     """
     ids = sorted(members if isinstance(members, RequirementSet) else set(members))
     for requirement_id in ids:

@@ -38,6 +38,7 @@ from reqlattice.refinement import (
     is_weaker,
     optimize,
     oracle_maximal,
+    witnesses,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -106,7 +107,7 @@ def test_criterion_2_algorithm_laws():
             assert any(is_weaker(graph, dropped, kept) for kept in strongest)
         shuffled = list(subset)
         rng.shuffle(shuffled)
-        assert optimize(graph, subset, order=shuffled) == strongest
+        assert optimize(graph, shuffled) == strongest
         checked += 1
 
     for graph, nodes in small_corpus():
@@ -118,6 +119,25 @@ def test_criterion_2_algorithm_laws():
         "PASS criterion 2: subset/idempotence/antichain/dominance/order-"
         f"insensitivity laws hold on {checked} inputs"
     )
+
+
+def test_witnesses_equal_brute_force_minimum():
+    checked = 0
+
+    def check(graph, subset):
+        nonlocal checked
+        kept = optimize(graph, subset)
+        witness = witnesses(graph, kept)
+        for dropped in set(subset) - kept.members:
+            assert witness[dropped] == min(q for q in kept if is_weaker(graph, dropped, q))
+        checked += 1
+
+    for graph, nodes in small_corpus():
+        for subset in all_subsets(nodes):
+            check(graph, subset)
+    for graph, subset in large_trials():
+        check(graph, subset)
+    print(f"PASS witnesses: smallest dominating kept member on {checked} inputs")
 
 
 def test_criterion_3_set_algebra_identities():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from reqlattice import model
 from reqlattice.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -288,3 +290,77 @@ def test_json_outputs_are_single_documents_and_deterministic(capsys):
             json.loads(out)
             outputs.append(out)
         assert len(set(outputs)) == 1, argv
+
+
+def test_every_command_validates_exactly_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = model.validate
+
+    def counting_validate(catalog):
+        calls.append(catalog)
+        return original(catalog)
+
+    for name, module in list(sys.modules.items()):
+        if name == "reqlattice" or name.startswith("reqlattice."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_validate)
+
+    out = str(tmp_path / "view.dot")
+    for argv in (
+        ["validate", PARTIAL],
+        ["validate", PARTIAL, "--json"],
+        ["sets", PARTIAL, "--product", "P1"],
+        ["sets", PARTIAL, "--jurisdiction", "C1", "--min"],
+        ["optimize", PARTIAL, "--global", "--json"],
+        ["optimize", PARTIAL, "--product", "P1"],
+        ["classify", PARTIAL],
+        ["impact", PARTIAL, "--regulation", "g"],
+        ["export", PARTIAL, "--view", "global", "--out", out],
+        ["export", PARTIAL, "--view", "country", "--focus", "C1", "--out", out],
+        ["optimize", CYCLE, "--global"],
+        ["validate", CYCLE],
+    ):
+        calls.clear()
+        main(argv)
+        capsys.readouterr()
+        assert len(calls) == 1, argv
+
+
+def test_export_global_view_with_colliding_joined_ids_exits_zero(capsys, tmp_path):
+    catalog = {
+        "version": 1,
+        "jurisdictions": [{"id": "C2"}, {"id": "C1__C2"}],
+        "regulations": [{"id": "g", "jurisdictions": "all"}],
+        "products": [{"id": "x"}, {"id": "x__C1"}],
+        "requirements": [
+            {
+                "id": "r1",
+                "kind": "RL",
+                "derived_from": ["g"],
+                "applies_to_products": "all",
+                "applies_to_jurisdictions": "all",
+            }
+        ],
+        "refinements": [],
+    }
+    path = tmp_path / "underscores.reqcat.json"
+    path.write_text(json.dumps(catalog))
+    out_path = tmp_path / "view.dot"
+    code, out, err = run(
+        capsys, "export", str(path), "--view", "global", "--out", str(out_path), "--json"
+    )
+    assert code == 0, err
+    assert json.loads(out)["nodes"] == 9
+    dot = out_path.read_text()
+    assert '"proj__x__C1_u_uC2" [label="RL [x, C1__C2]: r1"];' in dot
+    assert '"proj__x_u_uC1__C2" [label="RL [x__C1, C2]: r1"];' in dot
+
+
+def test_validate_deeply_nested_document_exits_two(capsys, tmp_path):
+    path = tmp_path / "nested.reqcat.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

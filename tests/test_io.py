@@ -121,6 +121,20 @@ def test_duplicate_array_entries_are_schema_errors():
         loads(json.dumps(doc))
 
 
+def test_duplicate_entry_message_names_the_first_duplicate():
+    doc = json.loads(MINIMAL)
+    doc["regulations"] = [{"id": "g", "jurisdictions": ["C1", "C2", "C2", "C1"]}]
+    with pytest.raises(SchemaError) as excinfo:
+        loads(json.dumps(doc))
+    assert str(excinfo.value) == "regulations[0].jurisdictions: duplicate entry 'C2'"
+
+
+def test_deeply_nested_document_is_a_parse_error():
+    depth = 100_000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads("[" * depth + "]" * depth)
+
+
 def test_malformed_document_reports_line_and_column():
     with pytest.raises(ParseError, match=r"line 2 column"):
         loads('{\n  "version": }')
@@ -302,6 +316,47 @@ def test_graph_view_rejects_duplicate_nodes_and_dangling_edges():
         GraphView(ViewKind.GLOBAL, (("a", "x"), ("a", "y")), ())
     with pytest.raises(ValueError):
         GraphView(ViewKind.GLOBAL, (("a", "x"),), (("a", "b"),))
+
+
+UNDERSCORE_IDS = Catalog(
+    jurisdictions=[Jurisdiction("C2"), Jurisdiction("C1__C2"), Jurisdiction("C1_")],
+    regulations=[Regulation("g", jurisdictions=ALL)],
+    products=[Product("x"), Product("x__C1"), Product("x_")],
+    requirements=[Requirement("r1", Kind.RL, derived_from={"g"})],
+)
+
+
+def test_view_node_ids_are_collision_free():
+    graph = build_graph(UNDERSCORE_IDS)
+    jids = [j.id for j in UNDERSCORE_IDS.jurisdictions]
+    pids = [p.id for p in UNDERSCORE_IDS.products]
+    expected_nodes = {
+        ViewKind.GLOBAL: 2 * len(jids) + len(jids) * len(pids) + 1,
+        ViewKind.PRODUCT_CENTRED: 2 * len(jids) + 1,
+        ViewKind.COUNTRY_CENTRED: 4 * len(pids) + 2,
+    }
+    for kind, focus in (
+        (ViewKind.GLOBAL, None),
+        (ViewKind.PRODUCT_CENTRED, "x__C1"),
+        (ViewKind.COUNTRY_CENTRED, "C1__C2"),
+    ):
+        view = build_view(UNDERSCORE_IDS, graph, kind, focus)
+        node_ids = [node_id for node_id, _ in view.nodes]
+        assert len(set(node_ids)) == len(node_ids) == expected_nodes[kind]
+    view = build_view(UNDERSCORE_IDS, graph, ViewKind.GLOBAL)
+    labels = dict(view.nodes)
+    assert labels["proj__x__C1_u_uC2"] == "RL [x, C1__C2]: r1"
+    assert labels["proj__x_u_uC1__C2"] == "RL [x__C1, C2]: r1"
+
+
+def test_view_node_ids_keep_ids_without_underscores_verbatim():
+    view = build_view(SMALL, build_graph(SMALL), ViewKind.GLOBAL)
+    assert [node_id for node_id, _ in view.nodes] == [
+        "proj__P1__C1",
+        "rl_min__C1",
+        "rl_star__C1",
+        "star",
+    ]
 
 
 def test_render_dot_escapes_quotes():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from reqlattice.refinement import (
     strongest_global,
     strongest_product,
     strongest_rl,
+    witnesses,
 )
 
 
@@ -53,15 +55,20 @@ def dfs_reachable(edges, start) -> set[str]:
     return out
 
 
+def weaker_than(graph, node) -> set[str]:
+    return {other for other in graph.nodes if is_weaker(graph, other, node)}
+
+
 def test_empty_graph_has_empty_closure():
     graph = graph_of(["a", "b"], [])
-    assert graph.closure == {"a": frozenset(), "b": frozenset()}
+    assert weaker_than(graph, "a") == set()
+    assert weaker_than(graph, "b") == set()
 
 
 def test_chain_closure_is_transitive():
-    assert CHAIN.closure["a"] == {"b", "c"}
-    assert CHAIN.closure["b"] == {"c"}
-    assert CHAIN.closure["c"] == frozenset()
+    assert weaker_than(CHAIN, "a") == {"b", "c"}
+    assert weaker_than(CHAIN, "b") == {"c"}
+    assert weaker_than(CHAIN, "c") == set()
 
 
 def test_random_dag_closure_matches_dfs_reachability():
@@ -70,7 +77,8 @@ def test_random_dag_closure_matches_dfs_reachability():
         nodes, edges = random_dag(rng, max_nodes=8)
         graph = graph_of(nodes, edges)
         for node in nodes:
-            assert graph.closure[node] == dfs_reachable(edges, node), (nodes, edges)
+            assert weaker_than(graph, node) == dfs_reachable(edges, node), (nodes, edges)
+            assert graph.descendants(node) == dfs_reachable(edges, node), (nodes, edges)
 
 
 def test_from_edges_rejects_cycles_and_foreign_endpoints():
@@ -78,6 +86,16 @@ def test_from_edges_rejects_cycles_and_foreign_endpoints():
         graph_of(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(ValueError):
         graph_of(["a"], [("a", "z")])
+    with pytest.raises(ValueError):
+        graph_of(["a"], [("a", "a")])
+    with pytest.raises(ValueError):
+        graph_of(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def test_graph_holds_direct_edges_only():
+    assert [f.name for f in dataclasses.fields(RefinementGraph)] == ["nodes", "direct"]
+    assert DIAMOND.direct["a"] == {"b", "c"}
+    assert DIAMOND.direct["d"] == frozenset()
 
 
 def test_build_graph_refuses_invalid_catalog():
@@ -85,8 +103,9 @@ def test_build_graph_refuses_invalid_catalog():
         requirements=[Requirement("r1", Kind.RFN), Requirement("r2", Kind.RFN)],
         refinements=[RefinementEdge("r1", "r2"), RefinementEdge("r2", "r1")],
     )
-    with pytest.raises(CatalogInvalidError):
+    with pytest.raises(CatalogInvalidError) as excinfo:
         build_graph(catalog)
+    assert [issue.code for issue in excinfo.value.report.errors] == ["CYCLE"]
 
 
 def test_build_graph_covers_isolated_requirements():
@@ -96,7 +115,8 @@ def test_build_graph_covers_isolated_requirements():
     )
     graph = build_graph(catalog)
     assert graph.nodes == {"r1", "r2"}
-    assert graph.closure == {"r1": frozenset(), "r2": frozenset()}
+    assert not is_weaker(graph, "r1", "r2")
+    assert not is_weaker(graph, "r2", "r1")
 
 
 def test_is_weaker_is_irreflexive_transitive_and_checks_ids():
@@ -124,18 +144,25 @@ def test_optimize_diamond_subset():
 
 
 def test_optimize_skips_requirements_weaker_than_existing_members():
-    # Processing order a, b, c exercises the insert-then-skip branch;
-    # order c, b, a exercises insert-and-evict.
-    assert list(optimize(CHAIN, ["a", "b", "c"], order=["a", "b", "c"])) == ["a"]
-    assert list(optimize(CHAIN, ["a", "b", "c"], order=["c", "b", "a"])) == ["a"]
-    assert list(optimize(CHAIN, ["a", "b", "c"], order=["b", "c", "a"])) == ["a"]
+    # The input order of a set function cannot matter: strongest first,
+    # weakest first and mixed all give the same answer.
+    assert list(optimize(CHAIN, ["a", "b", "c"])) == ["a"]
+    assert list(optimize(CHAIN, ["c", "b", "a"])) == ["a"]
+    assert list(optimize(CHAIN, ["b", "c", "a"])) == ["a"]
 
 
-def test_optimize_rejects_unknown_ids_and_bad_orders():
+def test_optimize_rejects_unknown_ids():
     with pytest.raises(UnknownIdError):
         optimize(CHAIN, ["a", "zz"])
-    with pytest.raises(ValueError):
-        optimize(CHAIN, ["a", "b"], order=["a"])
+
+
+def test_witnesses_pick_the_smallest_dominating_member():
+    assert witnesses(CHAIN, ["a"]) == {"b": "a", "c": "a"}
+    assert witnesses(DIAMOND, ["b", "c"]) == {"d": "b"}
+    assert witnesses(DIAMOND, RequirementSet.of(["c"])) == {"d": "c"}
+    assert witnesses(CHAIN, []) == {}
+    with pytest.raises(UnknownIdError):
+        witnesses(CHAIN, ["a", "zz"])
 
 
 def test_oracle_trivial_cases():
@@ -178,7 +205,7 @@ def test_optimize_laws_on_random_corpus():
 
         shuffled = list(subset)
         rng.shuffle(shuffled)
-        assert optimize(graph, subset, order=shuffled) == strongest
+        assert optimize(graph, shuffled) == strongest
 
 
 def test_optimize_membership_monotone_under_edge_removal():
