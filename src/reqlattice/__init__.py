@@ -5,6 +5,7 @@ from .algebra import (
     Partition,
     RequirementSet,
     SharedRegulations,
+    global_union,
     jurisdiction_regulations,
     jurisdiction_rl,
     partition_general_specific,

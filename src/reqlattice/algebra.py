@@ -1,8 +1,10 @@
 """Set constructions over a validated catalog.
 
-All functions are pure: they read the immutable catalog and return new
-values, so repeated calls give identical results and concurrent readers
-need no locking.
+Every construction is set algebra over the catalog's scope maps
+(`Catalog.requirements_by_product` and its siblings), which the catalog
+fills in on first use. All functions are pure and filling in a map is
+idempotent, so repeated calls give identical results and concurrent
+readers need no locking.
 
 The constructions:
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EmptyCatalogError, UnknownIdError
-from .model import Catalog, Kind, scope_contains
+from .model import Catalog, Kind, _as_kind
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,14 @@ class SharedRegulations(NamedTuple):
     complements: dict[str, frozenset[str]]
 
 
-def _require(catalog: Catalog, entity_id: str, known: frozenset[str], what: str) -> None:
+def _require(entity_id: str, known: frozenset[str], what: str) -> None:
     if entity_id not in known:
         raise UnknownIdError(f"unknown {what}: {entity_id!r}")
 
 
-def _as_kind_filter(kind) -> Kind | None:
-    if kind is None or isinstance(kind, Kind):
-        return kind
-    return Kind(str(kind).upper())
+def _covered(by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    """The owners whose scope covers at least one entity of the map."""
+    return frozenset().union(*by_entity.values())
 
 
 def requirements_for(
@@ -123,44 +124,49 @@ def requirements_for(
     its jurisdiction scope covers the jurisdiction; ALL scopes cover
     everything. `kind_filter` restricts to one requirement kind.
     """
-    _require(catalog, product_id, catalog.product_ids, "product")
-    _require(catalog, jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    kind = _as_kind_filter(kind_filter)
-    return RequirementSet.of(
-        req.id
-        for req in catalog.requirements
-        if (kind is None or req.kind is kind)
-        and scope_contains(req.applies_to_products, product_id)
-        and scope_contains(req.applies_to_jurisdictions, jurisdiction_id)
+    _require(product_id, catalog.product_ids, "product")
+    _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
+    members = (
+        catalog.requirements_by_product[product_id]
+        & catalog.requirements_by_jurisdiction[jurisdiction_id]
     )
+    if kind_filter is not None:
+        members &= catalog.requirements_by_kind[_as_kind(kind_filter)]
+    return RequirementSet(members)
 
 
 def product_union(catalog: Catalog, product_id: str) -> RequirementSet:
     """Everything the product must satisfy: the union of its projections
     over all jurisdictions."""
-    _require(catalog, product_id, catalog.product_ids, "product")
-    members: set[str] = set()
-    for jurisdiction in catalog.jurisdictions:
-        members |= requirements_for(catalog, product_id, jurisdiction.id).members
-    return RequirementSet.of(members)
+    _require(product_id, catalog.product_ids, "product")
+    return RequirementSet(
+        catalog.requirements_by_product[product_id] & _covered(catalog.requirements_by_jurisdiction)
+    )
+
+
+def global_union(catalog: Catalog) -> RequirementSet:
+    """Every requirement applicable to at least one (product, jurisdiction)
+    pair: the union of the product unions."""
+    return RequirementSet(
+        _covered(catalog.requirements_by_product) & _covered(catalog.requirements_by_jurisdiction)
+    )
 
 
 def jurisdiction_rl(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     """All regulation-derived requirements the jurisdiction imposes on any
     product: the union of its RL projections over all products."""
-    _require(catalog, jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    members: set[str] = set()
-    for product in catalog.products:
-        members |= requirements_for(catalog, product.id, jurisdiction_id, Kind.RL).members
-    return RequirementSet.of(members)
+    _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
+    return RequirementSet(
+        catalog.requirements_by_jurisdiction[jurisdiction_id]
+        & catalog.requirements_by_kind[Kind.RL]
+        & _covered(catalog.requirements_by_product)
+    )
 
 
 def jurisdiction_regulations(catalog: Catalog, jurisdiction_id: str) -> frozenset[str]:
     """The regulation ids belonging to one jurisdiction."""
-    _require(catalog, jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    return frozenset(
-        reg.id for reg in catalog.regulations if scope_contains(reg.jurisdictions, jurisdiction_id)
-    )
+    _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
+    return catalog.regulations_by_jurisdiction[jurisdiction_id]
 
 
 def shared_regulations(catalog: Catalog) -> SharedRegulations:
@@ -174,13 +180,8 @@ def shared_regulations(catalog: Catalog) -> SharedRegulations:
     """
     if not catalog.jurisdictions:
         raise EmptyCatalogError("shared regulations need at least one jurisdiction")
-    per_jurisdiction = {
-        j.id: jurisdiction_regulations(catalog, j.id) for j in catalog.jurisdictions
-    }
-    sets = iter(per_jurisdiction.values())
-    core = next(sets)
-    for regs in sets:
-        core &= regs
+    per_jurisdiction = catalog.regulations_by_jurisdiction
+    core = frozenset.intersection(*per_jurisdiction.values())
     complements = {jid: regs - core for jid, regs in per_jurisdiction.items()}
     return SharedRegulations(core, complements)
 
@@ -190,12 +191,12 @@ def rl_min(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     jurisdiction: the intersection of the RL projections over all products."""
     if not catalog.products:
         raise EmptyCatalogError("the per-jurisdiction minimum needs at least one product")
-    _require(catalog, jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    result: frozenset[str] | None = None
-    for product in catalog.products:
-        projection = requirements_for(catalog, product.id, jurisdiction_id, Kind.RL).members
-        result = projection if result is None else result & projection
-    return RequirementSet(result if result is not None else frozenset())
+    _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
+    return RequirementSet(
+        catalog.requirements_by_jurisdiction[jurisdiction_id]
+        & catalog.requirements_by_kind[Kind.RL]
+        & frozenset.intersection(*catalog.requirements_by_product.values())
+    )
 
 
 def partition_general_specific(
@@ -209,16 +210,13 @@ def partition_general_specific(
     """
     if not catalog.jurisdictions:
         raise EmptyCatalogError("partitioning needs at least one jurisdiction")
-    _require(catalog, product_id, catalog.product_ids, "product")
-    kind = _as_kind_filter(kind)
+    _require(product_id, catalog.product_ids, "product")
     projections = {
-        j.id: requirements_for(catalog, product_id, j.id, kind) for j in catalog.jurisdictions
+        j.id: requirements_for(catalog, product_id, j.id, kind).members
+        for j in catalog.jurisdictions
     }
-    sets = iter(projections.values())
-    general = next(sets).members
-    for projection in sets:
-        general &= projection.members
+    general = frozenset.intersection(*projections.values())
     return Partition(
         general=RequirementSet(general),
-        specific={jid: RequirementSet(proj.members - general) for jid, proj in projections.items()},
+        specific={jid: RequirementSet(members - general) for jid, members in projections.items()},
     )

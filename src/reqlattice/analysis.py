@@ -34,7 +34,7 @@ from .model import (
     Kind,
     Scope,
     Severity,
-    scope_contains,
+    expand_scope,
 )
 
 
@@ -133,16 +133,13 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
         for req in catalog.requirements
         if req.kind is Kind.RL and regulation_id in req.derived_from
     )
-    affected_products = tuple(
-        sorted(
-            product.id
-            for product in catalog.products
-            if any(
-                scope_contains(catalog.requirements_by_id[rid].applies_to_products, product.id)
-                for rid in affected
-            )
-        )
+    # Expand only the affected scopes: on a freshly loaded catalog the
+    # per-product map would cost more than the whole query.
+    by_id, products = catalog.requirements_by_id, catalog.product_ids
+    reached = frozenset().union(
+        *(expand_scope(by_id[rid].applies_to_products, products) for rid in affected)
     )
+    affected_products = tuple(sorted(reached & products))
     jurisdictions = tuple(
         sorted(jid for jid, extra in complements.items() if regulation_id in extra)
     )
@@ -174,14 +171,8 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
         raise EmptyCatalogError("reuse analysis needs at least one product and one jurisdiction")
     minima = {j.id: rl_min(catalog, j.id) for j in catalog.jurisdictions}
 
-    sets = iter(minima.values())
-    shared = next(sets).members
-    for minimum in sets:
-        shared &= minimum.members
-
-    pool: set[str] = set()
-    for minimum in minima.values():
-        pool |= minimum.members
+    shared = frozenset.intersection(*(minimum.members for minimum in minima.values()))
+    pool = frozenset().union(*(minimum.members for minimum in minima.values()))
     by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}
     for rid in pool:
         req = catalog.requirements_by_id[rid]

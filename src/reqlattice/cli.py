@@ -18,6 +18,7 @@ from pathlib import Path
 from . import io as catalog_io
 from .algebra import (
     RequirementSet,
+    global_union,
     jurisdiction_rl,
     product_union,
     requirements_for,
@@ -34,15 +35,8 @@ from .errors import (
     SchemaError,
     UnknownIdError,
 )
-from .model import Catalog, Issue, Severity, validate
-from .refinement import (
-    RefinementGraph,
-    build_graph,
-    strongest_global,
-    strongest_product,
-    strongest_rl,
-    witnesses,
-)
+from .model import Catalog, Issue, Kind, Severity, validate
+from .refinement import RefinementGraph, build_graph, optimize, witnesses
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -76,17 +70,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
-def _load_catalog(path: str) -> Catalog:
-    return catalog_io.load(path)
-
-
 def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:
-    catalog = _load_catalog(path)
+    catalog = catalog_io.load(path)
     return catalog, build_graph(catalog)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = catalog_io.load(args.catalog)
     report = validate(catalog)
     warnings = list(report.warnings)
     if report.ok:
@@ -137,12 +127,10 @@ def cmd_sets(args: argparse.Namespace) -> int:
     elif args.jurisdiction:
         result = requirements_for(catalog, args.product, args.jurisdiction, args.kind)
     else:
-        members: set[str] = set()
-        for jurisdiction in catalog.jurisdictions:
-            members |= requirements_for(
-                catalog, args.product, jurisdiction.id, args.kind
-            ).members
-        result = RequirementSet.of(members)
+        result = product_union(catalog, args.product)
+        if args.kind:
+            of_kind = catalog.requirements_by_kind[Kind(args.kind.upper())]
+            result = RequirementSet(result.members & of_kind)
     _print_set(result, args)
     return EXIT_OK
 
@@ -151,17 +139,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     catalog, graph = _load_validated(args.catalog)
     if args.jurisdiction:
         base = jurisdiction_rl(catalog, args.jurisdiction)
-        kept = strongest_rl(catalog, graph, args.jurisdiction)
     elif args.product:
         base = product_union(catalog, args.product)
-        kept = strongest_product(catalog, graph, args.product)
     else:
-        members: set[str] = set()
-        for product in catalog.products:
-            members |= product_union(catalog, product.id).members
-        base = RequirementSet.of(members)
-        kept = strongest_global(catalog, graph)
-
+        base = global_union(catalog)
+    kept = optimize(graph, base)
     witness = witnesses(graph, kept)
     removed = [(dropped, witness[dropped]) for dropped in base - kept]
     if args.json:

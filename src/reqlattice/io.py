@@ -162,6 +162,13 @@ def _parse_refinement(obj: dict, where: str) -> RefinementEdge:
     )
 
 
+def _check_encodable(text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError("catalog strings must not hold lone UTF-16 surrogates") from exc
+
+
 def loads(text: str | bytes) -> Catalog:
     """Parse and schema-check a catalog document.
 
@@ -173,8 +180,12 @@ def loads(text: str | bytes) -> Catalog:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"catalog is not valid UTF-8: {exc}") from exc
+    else:
+        _check_encodable(text)
     try:
         document = json.loads(text)
+        if "\\u" in text:  # only an escape can put a lone surrogate into a string
+            _check_encodable(json.dumps(document, ensure_ascii=False))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -41,16 +41,29 @@ ALL = AllScope()
 Scope = Union[AllScope, frozenset[str]]
 
 
-def scope_contains(scope: Scope, entity_id: str) -> bool:
-    """True when the scope covers the given entity id."""
-    return scope is ALL or entity_id in scope
-
-
 def expand_scope(scope: Scope, universe: Iterable[str]) -> frozenset[str]:
     """Resolve a scope to concrete ids against the current entity universe."""
     if scope is ALL:
         return frozenset(universe)
     return scope
+
+
+def _invert(
+    pairs: Iterable[tuple[str, Scope]], universe: Iterable[str]
+) -> dict[str, frozenset[str]]:
+    """Map each entity of `universe` to the owners whose scope covers it: an
+    ALL owner covers every entity, and ids outside the universe are ignored."""
+    owners: dict[str, set[str]] = {entity: set() for entity in universe}
+    for owner, scope in pairs:
+        if scope is ALL:
+            for ids in owners.values():
+                ids.add(owner)
+            continue
+        for entity in scope:
+            if entity in owners:
+                owners[entity].add(owner)
+    # Pop each set as it is frozen, so no map is ever held twice.
+    return {entity: frozenset(owners.pop(entity)) for entity in list(owners)}
 
 
 def _as_scope(value) -> Scope:
@@ -192,6 +205,28 @@ class Catalog:
         for reg in self.regulations:
             out.setdefault(reg.id, reg)
         return out
+
+    # Scope expansion happens here and nowhere else: each map is built on
+    # first use, and `algebra` intersects and unites its values.
+
+    @cached_property
+    def requirements_by_product(self) -> dict[str, frozenset[str]]:
+        pairs = ((r.id, r.applies_to_products) for r in self.requirements)
+        return _invert(pairs, (p.id for p in self.products))
+
+    @cached_property
+    def requirements_by_jurisdiction(self) -> dict[str, frozenset[str]]:
+        pairs = ((r.id, r.applies_to_jurisdictions) for r in self.requirements)
+        return _invert(pairs, (j.id for j in self.jurisdictions))
+
+    @cached_property
+    def requirements_by_kind(self) -> dict[Kind, frozenset[str]]:
+        return {kind: frozenset(r.id for r in self.requirements if r.kind is kind) for kind in Kind}
+
+    @cached_property
+    def regulations_by_jurisdiction(self) -> dict[str, frozenset[str]]:
+        pairs = ((r.id, r.jurisdictions) for r in self.regulations)
+        return _invert(pairs, (j.id for j in self.jurisdictions))
 
 
 class Severity(str, Enum):
@@ -386,6 +421,10 @@ def validate(catalog: Catalog) -> ValidationReport:
         if req.applies_to_jurisdictions is not ALL:
             _check_refs(
                 req.id, req.applies_to_jurisdictions, jurisdiction_ids, "jurisdiction", errors
+            )
+        if not req.applies_to_products or not req.applies_to_jurisdictions:
+            warnings.append(
+                _warning(EMPTY_SCOPE, f"requirement {req.id} has an empty scope", (req.id,))
             )
 
     seen_edges: set[tuple[str, str]] = set()

@@ -231,7 +231,4 @@ def strongest_product(catalog: Catalog, graph: RefinementGraph, product_id: str)
 def strongest_global(catalog: Catalog, graph: RefinementGraph) -> RequirementSet:
     """The strongest set over every requirement applicable to at least one
     (product, jurisdiction) pair."""
-    members: set[str] = set()
-    for product in catalog.products:
-        members |= algebra.product_union(catalog, product.id).members
-    return optimize(graph, members)
+    return optimize(graph, algebra.global_union(catalog))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from catgen import random_catalog
 from reqlattice.algebra import (
     RequirementSet,
+    global_union,
     jurisdiction_regulations,
     jurisdiction_rl,
     partition_general_specific,
@@ -105,6 +107,22 @@ def test_mixed_catalog_projection_matches_hand_enumeration():
             for kind in (None, Kind.RL, Kind.RFN):
                 got = set(requirements_for(MIXED, pid, jid, kind).members)
                 assert got == brute_projection(MIXED, pid, jid, kind)
+
+
+def test_replaced_catalog_expands_all_scopes_against_its_own_entities():
+    catalog = MIXED
+    assert ids(product_union(catalog, "P1")) == ["r1", "r2", "r4"]
+    wider = dataclasses.replace(
+        catalog, jurisdictions=catalog.jurisdictions + (Jurisdiction("C3"),)
+    )
+    assert ids(requirements_for(wider, "P1", "C3")) == ["r1"]
+    assert ids(requirements_for(wider, "P2", "C3")) == ["r1", "r3"]
+    assert jurisdiction_regulations(wider, "C3") == {"g"}
+    assert set(wider.requirements_by_jurisdiction) == {"C1", "C2", "C3"}
+    # The original keeps its own maps.
+    assert set(catalog.requirements_by_jurisdiction) == {"C1", "C2"}
+    with pytest.raises(UnknownIdError):
+        requirements_for(catalog, "P1", "C3")
 
 
 def test_projection_unknown_ids():
@@ -437,12 +455,14 @@ def test_algebra_laws_on_random_catalogs():
             for pid in pids:
                 assert minimum.issubset(requirements_for(catalog, pid, jid, Kind.RL))
 
+        everything = set()
         for pid in pids:
             union = product_union(catalog, pid)
             brute = set()
             for jid in jids:
                 brute |= brute_projection(catalog, pid, jid)
             assert set(union.members) == brute
+            everything |= brute
 
             for kind in (Kind.RL, Kind.RFN):
                 part = partition_general_specific(catalog, pid, kind)
@@ -450,6 +470,7 @@ def test_algebra_laws_on_random_catalogs():
                     projection = requirements_for(catalog, pid, jid, kind)
                     assert part.general.isdisjoint(part.specific[jid])
                     assert (part.general | part.specific[jid]) == projection
+        assert set(global_union(catalog).members) == everything
 
         # Purity: identical results on repeated calls.
         assert shared_regulations(catalog) == (core, complements)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from catgen import random_catalog
 from reqlattice import model
+from reqlattice.algebra import requirements_for
 from reqlattice.cli import main
+from reqlattice.io import save_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,6 +87,24 @@ def test_sets_product_union_and_kind_union(capsys):
     assert out.splitlines() == ["re"]
 
 
+def test_sets_product_kind_is_the_union_of_kind_projections(capsys, tmp_path):
+    rng = random.Random(4242)
+    path = tmp_path / "random.reqcat.json"
+    for _ in range(8):
+        catalog = random_catalog(rng)
+        save_file(catalog, path)
+        for product in catalog.products:
+            for kind in ("rl", "rfn"):
+                want = set()
+                for jurisdiction in catalog.jurisdictions:
+                    want |= requirements_for(catalog, product.id, jurisdiction.id, kind).members
+                code, payload = run_json(
+                    capsys, "sets", str(path), "--product", product.id, "--kind", kind, "--json"
+                )
+                assert code == 0
+                assert payload["ids"] == sorted(want)
+
+
 def test_sets_jurisdiction_rl_and_min(capsys):
     code, out, _ = run(capsys, "sets", PARTIAL, "--jurisdiction", "C1", "--rl")
     assert code == 0
@@ -98,10 +120,20 @@ def test_sets_jurisdiction_rl_and_min(capsys):
     assert out.splitlines() == ["ra", "rb"]
 
 
-def test_sets_unknown_id_exits_two(capsys):
+def test_sets_unknown_id_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "sets", PARTIAL, "--product", "P9")
     assert code == 2
     assert "P9" in err
+
+    # Also when there is no jurisdiction to project onto.
+    path = tmp_path / "no-jurisdictions.reqcat.json"
+    catalog = json.loads(Path(PARTIAL).read_text())
+    empty = {"jurisdictions": [], "regulations": [], "requirements": [], "refinements": []}
+    path.write_text(json.dumps({**catalog, **empty}))
+    for kind in ([], ["--kind", "rl"]):
+        code, out, err = run(capsys, "sets", str(path), "--product", "P9", *kind)
+        assert (code, out) == (2, "")
+        assert "P9" in err
 
 
 def test_sets_flag_conflicts_exit_two(capsys):
@@ -364,3 +396,20 @@ def test_validate_deeply_nested_document_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lone_surrogate_id_exits_two_without_traceback(capsys, tmp_path):
+    catalog = json.loads(Path(PARTIAL).read_text())
+    catalog["products"].append({"id": "\ud800"})
+    path = tmp_path / "surrogate.reqcat.json"
+    path.write_text(json.dumps(catalog))  # the id is written as the escape \ud800
+    out_path = tmp_path / "view.dot"
+    for argv in (
+        ["export", str(path), "--view", "product", "--focus", "P1", "--out", str(out_path)],
+        ["validate", str(path), "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()

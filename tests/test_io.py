@@ -135,6 +135,23 @@ def test_deeply_nested_document_is_a_parse_error():
         loads("[" * depth + "]" * depth)
 
 
+def test_lone_surrogates_are_schema_errors_and_escaped_pairs_load():
+    doc = json.loads(MINIMAL)
+    doc["products"] = [{"id": "\ud800"}]
+    escaped = json.dumps(doc)  # ensure_ascii writes the id as the escape \ud800
+    assert "\\ud800" in escaped
+    for text in (escaped, escaped.encode("utf-8")):
+        with pytest.raises(SchemaError, match="surrogate"):
+            loads(text)
+    # A str holding the raw surrogate never reaches the JSON parser.
+    with pytest.raises(SchemaError, match="surrogate"):
+        loads(json.dumps(doc, ensure_ascii=False))
+
+    doc["products"] = [{"id": "\ud83d\ude00", "name": "\u00e9"}]
+    for text in (json.dumps(doc), json.dumps(doc).encode("utf-8")):
+        assert [(p.id, p.name) for p in loads(text).products] == [("\U0001F600", "\u00e9")]
+
+
 def test_malformed_document_reports_line_and_column():
     with pytest.raises(ParseError, match=r"line 2 column"):
         loads('{\n  "version": }')

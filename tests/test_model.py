@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from catgen import random_digraph
+from catgen import random_catalog, random_digraph
 from reqlattice.model import (
     ALL,
     CYCLE,
@@ -23,7 +24,6 @@ from reqlattice.model import (
     Requirement,
     Severity,
     expand_scope,
-    scope_contains,
     validate,
 )
 
@@ -44,8 +44,12 @@ def test_empty_catalog_is_vacuously_valid():
 
 
 def test_all_scope_is_a_singleton_and_expands_at_query_time():
-    assert scope_contains(ALL, "anything")
-    assert not scope_contains(frozenset({"a"}), "b")
+    catalog = Catalog(
+        products=[Product("anything"), Product("b")],
+        requirements=[rfn("r_all"), rfn("r_a", applies_to_products={"a"})],
+    )
+    assert "r_all" in catalog.requirements_by_product["anything"]
+    assert "r_a" not in catalog.requirements_by_product["b"]
     assert expand_scope(ALL, ["x", "y"]) == {"x", "y"}
     assert expand_scope(frozenset({"a"}), ["x", "y"]) == {"a"}
 
@@ -136,6 +140,30 @@ def test_empty_ids_and_empty_regulation_scope():
     assert sorted(codes(report.errors)) == [EMPTY_ID, EMPTY_SCOPE]
 
 
+def test_empty_requirement_scope_is_an_empty_scope_warning():
+    catalog = Catalog(
+        jurisdictions=[Jurisdiction("C1")],
+        products=[Product("P1")],
+        requirements=[
+            rfn("r1", applies_to_products=frozenset()),
+            rfn("r2", applies_to_jurisdictions=frozenset()),
+            rfn("r3", applies_to_products=frozenset(), applies_to_jurisdictions=frozenset()),
+            rfn("r4", applies_to_products={"P1"}),
+        ],
+    )
+    report = validate(catalog)
+    assert report.ok
+    assert [(issue.code, issue.ids) for issue in report.warnings] == [
+        (EMPTY_SCOPE, ("r1",)),
+        (EMPTY_SCOPE, ("r2",)),
+        (EMPTY_SCOPE, ("r3",)),
+    ]
+    assert all(issue.severity is Severity.WARNING for issue in report.warnings)
+    # An empty scope lands in no map.
+    assert catalog.requirements_by_product["P1"] == {"r2", "r4"}
+    assert catalog.requirements_by_jurisdiction["C1"] == {"r1", "r4"}
+
+
 def test_rl_coverage_warning_names_uncovered_jurisdictions():
     catalog = Catalog(
         jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
@@ -217,3 +245,65 @@ def test_catalog_collections_are_normalised_and_immutable():
         products=[Product("P1"), Product("P2")],
         requirements=[rfn("a"), rfn("b")],
     )
+
+
+# Independent oracle for the scope maps: one scan of every owner per entity.
+def scan(owners, scope_of, universe) -> dict[str, frozenset[str]]:
+    return {
+        entity: frozenset(
+            o.id for o in owners if scope_of(o) is ALL or entity in scope_of(o)
+        )
+        for entity in universe
+    }
+
+
+def with_foreign_ids(rng: random.Random, catalog: Catalog) -> Catalog:
+    """Add ids that name no catalog entity to some explicit scopes."""
+
+    def widen(scope):
+        if scope is ALL or rng.random() < 0.5:
+            return scope
+        return scope | {"ghost", "C99"}
+
+    return dataclasses.replace(
+        catalog,
+        regulations=[
+            dataclasses.replace(r, jurisdictions=widen(r.jurisdictions))
+            for r in catalog.regulations
+        ],
+        requirements=[
+            dataclasses.replace(
+                r,
+                applies_to_products=widen(r.applies_to_products),
+                applies_to_jurisdictions=widen(r.applies_to_jurisdictions),
+            )
+            for r in catalog.requirements
+        ],
+    )
+
+
+def test_scope_maps_match_a_per_entity_scan():
+    rng = random.Random(2718)
+    for trial in range(150):
+        catalog = random_catalog(rng)
+        if trial % 3 == 1:
+            catalog = with_foreign_ids(rng, catalog)
+        if trial % 5 == 2:
+            catalog = dataclasses.replace(catalog, products=())
+        if trial % 5 == 3:
+            catalog = dataclasses.replace(catalog, jurisdictions=())
+        pids = [p.id for p in catalog.products]
+        jids = [j.id for j in catalog.jurisdictions]
+        reqs = catalog.requirements
+        assert catalog.requirements_by_product == scan(
+            reqs, lambda r: r.applies_to_products, pids
+        )
+        assert catalog.requirements_by_jurisdiction == scan(
+            reqs, lambda r: r.applies_to_jurisdictions, jids
+        )
+        assert catalog.regulations_by_jurisdiction == scan(
+            catalog.regulations, lambda r: r.jurisdictions, jids
+        )
+        assert catalog.requirements_by_kind == {
+            kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind
+        }
