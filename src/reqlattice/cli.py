@@ -67,7 +67,14 @@ def _issue_json(issue: Issue) -> dict:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    text = json.dumps(payload, indent=2, ensure_ascii=False)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        # A lone surrogate, as an `--out` path with non-UTF-8 bytes brings:
+        # strict UTF-8 stdout cannot write it, but its JSON escape can.
+        text = json.dumps(payload, indent=2)
+    print(text)
 
 
 def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:

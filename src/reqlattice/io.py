@@ -30,9 +30,11 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from enum import Enum
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import algebra, refinement
@@ -59,25 +61,133 @@ CATALOG_VERSION = 1
 CATALOG_EXTENSION = ".reqcat.json"
 
 _TOP_KEYS = ("version", "jurisdictions", "regulations", "products", "requirements", "refinements")
+_KINDS = {kind.value: kind for kind in Kind}
 
 
-def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
+class _Shape:
+    """The schema of one entity collection, read by both parse paths.
+
+    `fields` lists (key, type) in the order a wrong value is reported and
+    `required` lists keys in the order a missing one is reported. Types:
+    "str" (required string), "text" (optional string, default ""), "kind",
+    "ids" (optional id array, default []) and "scope" ("all" or an id array).
+    """
+
+    def __init__(
+        self, entity: type, fields: tuple[tuple[str, str], ...], required: tuple[str, ...]
+    ) -> None:
+        self.entity = entity
+        self.fields = fields
+        self.required = required
+        self.allowed_keys = frozenset(key for key, _ in fields)
+        self.required_keys = frozenset(required)
+        self.order = [field.name for field in dataclasses.fields(entity)]
+
+
+_SHAPES = {
+    "jurisdictions": _Shape(Jurisdiction, (("id", "str"), ("name", "text")), ("id",)),
+    "regulations": _Shape(
+        Regulation,
+        (("id", "str"), ("title", "text"), ("jurisdictions", "scope")),
+        ("id", "jurisdictions"),
+    ),
+    "products": _Shape(Product, (("id", "str"), ("name", "text")), ("id",)),
+    "requirements": _Shape(
+        Requirement,
+        (
+            ("kind", "kind"),
+            ("id", "str"),
+            ("title", "text"),
+            ("derived_from", "ids"),
+            ("human_factors", "ids"),
+            ("applies_to_products", "scope"),
+            ("applies_to_jurisdictions", "scope"),
+        ),
+        ("id", "kind", "applies_to_products", "applies_to_jurisdictions"),
+    ),
+    "refinements": _Shape(
+        RefinementEdge, (("stronger", "str"), ("weaker", "str")), ("stronger", "weaker")
+    ),
+}
+_DEFAULTS = {"text": "", "ids": []}
+
+
+# The fast path checks and converts a whole collection one field (column)
+# at a time, builds no message, and raises _Mismatch on anything amiss;
+# _explain then walks the collection again to name the first bad entry.
+
+
+class _Mismatch(Exception):
+    """A collection does not fit its shape; _explain says where."""
+
+
+def _strs(column: list) -> list[str]:
+    try:
+        "".join(column)  # one pass in C: TypeError unless every item is a string
+    except TypeError:
+        raise _Mismatch from None
+    return column
+
+
+def _kinds(column: list) -> list[Kind]:
+    try:
+        return [_KINDS[value] for value in column]
+    except (KeyError, TypeError):
+        raise _Mismatch from None
+
+
+def _ids(value) -> frozenset[str]:
+    if type(value) is not list:
+        raise _Mismatch
+    ids = frozenset(_strs(value))
+    if len(ids) != len(value):
+        raise _Mismatch
+    return ids
+
+
+_CONVERT = {
+    "str": _strs,
+    "text": _strs,
+    "kind": _kinds,
+    "ids": lambda column: [_ids(value) for value in column],
+    "scope": lambda column: [ALL if value == "all" else _ids(value) for value in column],
+}
+
+
+def _entities(value, label: str) -> list:
+    """Build the entities of one top-level collection, or raise the
+    SchemaError of its first bad entry in document order."""
+    shape = _SHAPES[label]
+    allowed, required = shape.allowed_keys, shape.required_keys
+    try:
+        if type(value) is not list:
+            raise _Mismatch
+        for obj in value:
+            if type(obj) is not dict or not (obj.keys() <= allowed and obj.keys() >= required):
+                raise _Mismatch
+        columns = {}
+        for key, kind in shape.fields:
+            column = list(map(dict.get, value, repeat(key), repeat(_DEFAULTS.get(kind))))
+            columns[key] = _CONVERT[kind](column)
+    except _Mismatch:
+        _explain(value, label)
+        raise
+    return list(map(shape.entity, *(columns[name] for name in shape.order)))
+
+
+# The explaining path: the same checks in report order, with messages.
+
+
+def _check_keys(obj: dict, allowed, required: tuple[str, ...], where: str) -> None:
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in allowed:
             raise SchemaError(f"{where}: unknown key {key!r}")
     for key in required:
         if key not in obj:
             raise SchemaError(f"{where}: missing key {key!r}")
 
 
-def _str_field(obj: dict, key: str, where: str, default: str | None = None) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}.{key}: expected string, got {type(value).__name__}")
-    return value
-
-
-def _id_list(value, where: str) -> frozenset[str]:
+def _check_ids(value, where: str) -> None:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected array of strings, got {type(value).__name__}")
     seen: set[str] = set()
@@ -87,79 +197,30 @@ def _id_list(value, where: str) -> frozenset[str]:
         if item in seen:
             raise SchemaError(f"{where}: duplicate entry {item!r}")
         seen.add(item)
-    return frozenset(seen)
 
 
-def _scope_field(obj: dict, key: str, where: str) -> Scope:
-    if key not in obj:
-        raise SchemaError(f"{where}: missing key {key!r}")
-    value = obj[key]
-    if value == "all":
-        return ALL
-    return _id_list(value, f"{where}.{key}")
+def _check_value(value, kind: str, where: str) -> None:
+    if kind in ("str", "text", "kind") and not isinstance(value, str):
+        raise SchemaError(f"{where}: expected string, got {type(value).__name__}")
+    if kind == "kind" and value not in _KINDS:
+        raise SchemaError(f"{where}: expected \"RL\" or \"RFN\", got {value!r}")
+    if kind == "ids" or (kind == "scope" and value != "all"):
+        _check_ids(value, where)
 
 
-def _object_list(value, where: str) -> list[dict]:
+def _explain(value, label: str) -> None:
+    """Raise the SchemaError of the first bad entry of collection `label`."""
     if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected array, got {type(value).__name__}")
+        raise SchemaError(f"{label}: expected array, got {type(value).__name__}")
     for i, item in enumerate(value):
         if not isinstance(item, dict):
-            raise SchemaError(f"{where}[{i}]: expected object, got {type(item).__name__}")
-    return value
-
-
-def _parse_jurisdiction(obj: dict, where: str) -> Jurisdiction:
-    _check_keys(obj, ("id",), ("name",), where)
-    return Jurisdiction(
-        id=_str_field(obj, "id", where),
-        name=_str_field(obj, "name", where, default=""),
-    )
-
-
-def _parse_regulation(obj: dict, where: str) -> Regulation:
-    _check_keys(obj, ("id", "jurisdictions"), ("title",), where)
-    return Regulation(
-        id=_str_field(obj, "id", where),
-        title=_str_field(obj, "title", where, default=""),
-        jurisdictions=_scope_field(obj, "jurisdictions", where),
-    )
-
-
-def _parse_product(obj: dict, where: str) -> Product:
-    _check_keys(obj, ("id",), ("name",), where)
-    return Product(
-        id=_str_field(obj, "id", where),
-        name=_str_field(obj, "name", where, default=""),
-    )
-
-
-def _parse_requirement(obj: dict, where: str) -> Requirement:
-    _check_keys(
-        obj,
-        ("id", "kind", "applies_to_products", "applies_to_jurisdictions"),
-        ("title", "derived_from", "human_factors"),
-        where,
-    )
-    kind = _str_field(obj, "kind", where)
-    if kind not in (Kind.RL.value, Kind.RFN.value):
-        raise SchemaError(f"{where}.kind: expected \"RL\" or \"RFN\", got {kind!r}")
-    return Requirement(
-        id=_str_field(obj, "id", where),
-        kind=Kind(kind),
-        title=_str_field(obj, "title", where, default=""),
-        derived_from=_id_list(obj.get("derived_from", []), f"{where}.derived_from"),
-        human_factors=_id_list(obj.get("human_factors", []), f"{where}.human_factors"),
-        applies_to_products=_scope_field(obj, "applies_to_products", where),
-        applies_to_jurisdictions=_scope_field(obj, "applies_to_jurisdictions", where),
-    )
-
-
-def _parse_refinement(obj: dict, where: str) -> RefinementEdge:
-    _check_keys(obj, ("stronger", "weaker"), (), where)
-    return RefinementEdge(
-        stronger=_str_field(obj, "stronger", where),
-        weaker=_str_field(obj, "weaker", where),
-    )
+            raise SchemaError(f"{label}[{i}]: expected object, got {type(item).__name__}")
+    shape = _SHAPES[label]
+    for i, obj in enumerate(value):
+        where = f"{label}[{i}]"
+        _check_keys(obj, shape.allowed_keys, shape.required, where)
+        for key, kind in shape.fields:
+            _check_value(obj.get(key, _DEFAULTS.get(kind)), kind, f"{where}.{key}")
 
 
 def _check_encodable(text: str) -> None:
@@ -195,34 +256,12 @@ def loads(text: str | bytes) -> Catalog:
 
     if not isinstance(document, dict):
         raise SchemaError(f"top level: expected object, got {type(document).__name__}")
-    _check_keys(document, _TOP_KEYS, (), "top level")
+    _check_keys(document, _TOP_KEYS, _TOP_KEYS, "top level")
     version = document["version"]
     if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
         raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
-
-    return Catalog(
-        version=version,
-        jurisdictions=[
-            _parse_jurisdiction(obj, f"jurisdictions[{i}]")
-            for i, obj in enumerate(_object_list(document["jurisdictions"], "jurisdictions"))
-        ],
-        regulations=[
-            _parse_regulation(obj, f"regulations[{i}]")
-            for i, obj in enumerate(_object_list(document["regulations"], "regulations"))
-        ],
-        products=[
-            _parse_product(obj, f"products[{i}]")
-            for i, obj in enumerate(_object_list(document["products"], "products"))
-        ],
-        requirements=[
-            _parse_requirement(obj, f"requirements[{i}]")
-            for i, obj in enumerate(_object_list(document["requirements"], "requirements"))
-        ],
-        refinements=[
-            _parse_refinement(obj, f"refinements[{i}]")
-            for i, obj in enumerate(_object_list(document["refinements"], "refinements"))
-        ],
-    )
+    # Collections are built in document order, so the first bad one is reported.
+    return Catalog(version, **{label: _entities(document[label], label) for label in _SHAPES})
 
 
 def load(source) -> Catalog:

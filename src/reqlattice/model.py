@@ -12,6 +12,7 @@ carries zero errors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -66,6 +67,10 @@ def _invert(
     return {entity: frozenset(owners.pop(entity)) for entity in list(owners)}
 
 
+def _is_scope(value) -> bool:
+    return value is ALL or type(value) is frozenset
+
+
 def _as_scope(value) -> Scope:
     if isinstance(value, AllScope):
         return ALL
@@ -102,7 +107,8 @@ class Regulation:
     jurisdictions: Scope = ALL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jurisdictions", _as_scope(self.jurisdictions))
+        if not _is_scope(self.jurisdictions):
+            object.__setattr__(self, "jurisdictions", _as_scope(self.jurisdictions))
 
 
 @dataclass(frozen=True)
@@ -131,13 +137,20 @@ class Requirement:
     applies_to_jurisdictions: Scope = ALL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", _as_kind(self.kind))
-        object.__setattr__(self, "derived_from", frozenset(self.derived_from))
-        object.__setattr__(self, "human_factors", frozenset(self.human_factors))
-        object.__setattr__(self, "applies_to_products", _as_scope(self.applies_to_products))
-        object.__setattr__(
-            self, "applies_to_jurisdictions", _as_scope(self.applies_to_jurisdictions)
-        )
+        # Values that already have their final type (as `io` passes them)
+        # are kept as they are; anything else is coerced.
+        if type(self.kind) is not Kind:
+            object.__setattr__(self, "kind", _as_kind(self.kind))
+        if type(self.derived_from) is not frozenset:
+            object.__setattr__(self, "derived_from", frozenset(self.derived_from))
+        if type(self.human_factors) is not frozenset:
+            object.__setattr__(self, "human_factors", frozenset(self.human_factors))
+        if not _is_scope(self.applies_to_products):
+            object.__setattr__(self, "applies_to_products", _as_scope(self.applies_to_products))
+        if not _is_scope(self.applies_to_jurisdictions):
+            object.__setattr__(
+                self, "applies_to_jurisdictions", _as_scope(self.applies_to_jurisdictions)
+            )
 
 
 @dataclass(frozen=True)
@@ -279,7 +292,9 @@ def _warning(code: str, message: str, ids: tuple[str, ...]) -> Issue:
     return Issue(Severity.WARNING, code, message, ids)
 
 
-def _check_ids(entities, label: str, issues: list[Issue]) -> None:
+def _check_ids(entities, ids: frozenset[str], label: str, issues: list[Issue]) -> None:
+    if len(ids) == len(entities) and all(ids):
+        return
     seen: set[str] = set()
     flagged: set[str] = set()
     for entity in entities:
@@ -296,6 +311,8 @@ def _check_ids(entities, label: str, issues: list[Issue]) -> None:
 def _check_refs(
     owner_id: str, refs: Iterable[str], known: frozenset[str], what: str, issues: list[Issue]
 ) -> None:
+    if known.issuperset(refs):
+        return
     for ref in sorted(refs):
         if ref not in known:
             issues.append(
@@ -320,15 +337,31 @@ def _kind_problems(req: Requirement) -> list[str]:
     return problems
 
 
-def _cycle_components(nodes: Iterable[str], edges: set[tuple[str, str]]) -> list[list[str]]:
-    """Strongly connected components of size >= 2, via iterative Tarjan.
+def _cycle_components(edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """Strongly connected components of size >= 2, each sorted, in sorted order.
 
     The package's one cycle detector: `validate` reports its components,
     and `RefinementGraph.from_edges` refuses edge sets that have any.
+    Nodes on no edge never enter. Kahn's peel first drops, over and over,
+    every node with no incoming edge left, since no cycle passes through
+    it; iterative Tarjan then runs on what remains, which is nothing for
+    an acyclic edge set.
     """
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for stronger, weaker in sorted(edges):
-        adjacency[stronger].append(weaker)
+    successors: dict[str, list[str]] = {}
+    indegree: dict[str, int] = {}
+    for stronger, weaker in edges:
+        successors.setdefault(stronger, []).append(weaker)
+        indegree[weaker] = indegree.get(weaker, 0) + 1
+    ready = [node for node in successors if node not in indegree]
+    while ready:
+        for child in successors.get(ready.pop(), ()):
+            indegree[child] -= 1
+            if not indegree[child]:
+                ready.append(child)
+    # A node left with an incoming edge has only such nodes as children.
+    adjacency = {
+        node: sorted(successors.get(node, ())) for node, count in indegree.items() if count
+    }
 
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
@@ -375,7 +408,57 @@ def _cycle_components(nodes: Iterable[str], edges: set[tuple[str, str]]) -> list
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+    return sorted(components)
+
+
+def _check_edges(
+    edges: tuple[RefinementEdge, ...], requirement_ids: frozenset[str], issues: list[Issue]
+) -> set[tuple[str, str]]:
+    """The distinct edges between two known, different requirements; the
+    rest are reported."""
+    stronger = [edge.stronger for edge in edges]
+    weaker = [edge.weaker for edge in edges]
+    usable = set(zip(stronger, weaker))
+    if (
+        len(usable) == len(edges)
+        and requirement_ids.issuperset(stronger)
+        and requirement_ids.issuperset(weaker)
+        and not any(map(operator.eq, stronger, weaker))
+    ):
+        return usable
+    seen_edges: set[tuple[str, str]] = set()
+    flagged_edges: set[tuple[str, str]] = set()
+    usable = set()
+    for edge in edges:
+        pair = (edge.stronger, edge.weaker)
+        if pair in seen_edges:
+            if pair not in flagged_edges:
+                issues.append(
+                    _error(DUP_EDGE, f"duplicate refinement edge {pair[0]} -> {pair[1]}", pair)
+                )
+                flagged_edges.add(pair)
+            continue
+        seen_edges.add(pair)
+        if edge.stronger == edge.weaker:
+            issues.append(
+                _error(SELF_EDGE, f"refinement self-edge on {edge.stronger}", (edge.stronger,))
+            )
+            continue
+        broken = False
+        for endpoint in (edge.stronger, edge.weaker):
+            if endpoint not in requirement_ids:
+                issues.append(
+                    _error(
+                        UNKNOWN_REF,
+                        f"refinement edge {pair[0]} -> {pair[1]} "
+                        f"references unknown requirement: {endpoint}",
+                        (endpoint, pair[0], pair[1]),
+                    )
+                )
+                broken = True
+        if not broken:
+            usable.add(pair)
+    return usable
 
 
 def validate(catalog: Catalog) -> ValidationReport:
@@ -387,15 +470,15 @@ def validate(catalog: Catalog) -> ValidationReport:
     errors: list[Issue] = []
     warnings: list[Issue] = []
 
-    _check_ids(catalog.jurisdictions, "jurisdiction", errors)
-    _check_ids(catalog.regulations, "regulation", errors)
-    _check_ids(catalog.products, "product", errors)
-    _check_ids(catalog.requirements, "requirement", errors)
-
     jurisdiction_ids = catalog.jurisdiction_ids
     regulation_ids = catalog.regulation_ids
     product_ids = catalog.product_ids
     requirement_ids = catalog.requirement_ids
+
+    _check_ids(catalog.jurisdictions, jurisdiction_ids, "jurisdiction", errors)
+    _check_ids(catalog.regulations, regulation_ids, "regulation", errors)
+    _check_ids(catalog.products, product_ids, "product", errors)
+    _check_ids(catalog.requirements, requirement_ids, "requirement", errors)
 
     for reg in catalog.regulations:
         if reg.jurisdictions is not ALL:
@@ -427,40 +510,9 @@ def validate(catalog: Catalog) -> ValidationReport:
                 _warning(EMPTY_SCOPE, f"requirement {req.id} has an empty scope", (req.id,))
             )
 
-    seen_edges: set[tuple[str, str]] = set()
-    flagged_edges: set[tuple[str, str]] = set()
-    usable_edges: set[tuple[str, str]] = set()
-    for edge in catalog.refinements:
-        pair = (edge.stronger, edge.weaker)
-        if pair in seen_edges:
-            if pair not in flagged_edges:
-                errors.append(
-                    _error(DUP_EDGE, f"duplicate refinement edge {pair[0]} -> {pair[1]}", pair)
-                )
-                flagged_edges.add(pair)
-            continue
-        seen_edges.add(pair)
-        if edge.stronger == edge.weaker:
-            errors.append(
-                _error(SELF_EDGE, f"refinement self-edge on {edge.stronger}", (edge.stronger,))
-            )
-            continue
-        broken = False
-        for endpoint in (edge.stronger, edge.weaker):
-            if endpoint not in requirement_ids:
-                errors.append(
-                    _error(
-                        UNKNOWN_REF,
-                        f"refinement edge {pair[0]} -> {pair[1]} "
-                        f"references unknown requirement: {endpoint}",
-                        (endpoint, pair[0], pair[1]),
-                    )
-                )
-                broken = True
-        if not broken:
-            usable_edges.add(pair)
+    usable_edges = _check_edges(catalog.refinements, requirement_ids, errors)
 
-    for component in _cycle_components(requirement_ids, usable_edges):
+    for component in _cycle_components(usable_edges):
         errors.append(
             _error(
                 CYCLE,
@@ -469,18 +521,17 @@ def validate(catalog: Catalog) -> ValidationReport:
             )
         )
 
+    covers = {
+        reg_id: expand_scope(reg.jurisdictions, jurisdiction_ids)
+        for reg_id, reg in catalog.regulations_by_id.items()
+    }
     for req in catalog.requirements:
         if req.kind is not Kind.RL:
             continue
-        covering: set[str] = set()
-        for reg_id in req.derived_from:
-            reg = catalog.regulations_by_id.get(reg_id)
-            if reg is None:
-                continue
-            covering |= expand_scope(reg.jurisdictions, jurisdiction_ids)
         applicable = expand_scope(req.applies_to_jurisdictions, jurisdiction_ids)
-        uncovered = sorted(applicable - covering)
+        uncovered = applicable.difference(*(covers[r] for r in req.derived_from if r in covers))
         if uncovered:
+            uncovered = sorted(uncovered)
             warnings.append(
                 _warning(
                     RL_COVERAGE,

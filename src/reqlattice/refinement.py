@@ -98,7 +98,7 @@ class RefinementGraph:
         for stronger, weaker in edge_set:
             if stronger not in node_set or weaker not in node_set:
                 raise ValueError(f"edge endpoint outside node set: {stronger} -> {weaker}")
-        if any(a == b for a, b in edge_set) or _cycle_components(node_set, edge_set):
+        if any(a == b for a, b in edge_set) or _cycle_components(edge_set):
             raise ValueError("refinement edges contain a cycle")
         return cls(nodes=node_set, direct=_adjacency(node_set, edge_set))
 

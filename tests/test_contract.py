@@ -15,7 +15,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reqlattice.cli import main
@@ -36,6 +36,9 @@ SURROGATES = st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])
 ID_TEXT = st.text(
     alphabet=st.one_of(st.sampled_from(list("aCP1_ \"\\é")), SURROGATES), max_size=4
 )
+# `--out` file names: argv bytes that are not UTF-8 reach Python as
+# surrogate escapes (U+DC80..U+DCFF).
+OUT_NAMES = st.text(alphabet=st.sampled_from(["v", "é", "\udc80", "\udcff"]), min_size=1, max_size=3)
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -131,7 +134,7 @@ def invocations(draw):
     else:
         flags = []
     json_at = draw(st.sampled_from([None, "before", "after"]))
-    return command, flags, json_at, text
+    return command, flags, json_at, text, draw(OUT_NAMES)
 
 
 def _run(argv):
@@ -150,13 +153,24 @@ def _run(argv):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(invocation=invocations())
+# Drawn exports rarely succeed, so one that writes its view and reports the
+# surrogate-escaped path in JSON is always run.
+@example(
+    invocation=(
+        "export",
+        ["--view", "global", "--out", "OUT"],
+        "after",
+        (DATA / "partial.reqcat.json").read_text(encoding="utf-8"),
+        "\udcff",
+    )
+)
 def test_exit_code_contract_holds_for_mutated_catalogs(invocation, tmp_path_factory):
-    command, flags, json_at, text = invocation
+    command, flags, json_at, text, out_name = invocation
     work = tmp_path_factory.getbasetemp() / "contract"
     work.mkdir(exist_ok=True)
     path = work / "catalog.reqcat.json"
     path.write_bytes(text.encode("utf-8"))
-    flags = [str(work / "view.dot") if flag == "OUT" else flag for flag in flags]
+    flags = [str(work / f"{out_name}.dot") if flag == "OUT" else flag for flag in flags]
     argv = [command, str(path), *flags]
     if json_at == "before":
         argv.insert(0, "--json")

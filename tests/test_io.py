@@ -129,6 +129,241 @@ def test_duplicate_entry_message_names_the_first_duplicate():
     assert str(excinfo.value) == "regulations[0].jurisdictions: duplicate entry 'C2'"
 
 
+# Every schema message, pinned: (collection, key, value, message). The
+# value replaces the key in one valid entry; MISSING deletes it, and a
+# message of None means the entry still loads.
+MISSING = ...
+VALID_ENTRY = {
+    "jurisdictions": {"id": "C1", "name": "Utopia"},
+    "regulations": {"id": "g", "title": "General act", "jurisdictions": ["C1"]},
+    "products": {"id": "P1", "name": "App"},
+    "requirements": {
+        "id": "r1",
+        "kind": "RL",
+        "title": "Keep logs",
+        "derived_from": ["g"],
+        "human_factors": [],
+        "applies_to_products": "all",
+        "applies_to_jurisdictions": ["C1"],
+    },
+    "refinements": {"stronger": "r1", "weaker": "r2"},
+}
+SCHEMA_MESSAGES = [
+    ('jurisdictions', 'id', MISSING, "jurisdictions[0]: missing key 'id'"),
+    ('jurisdictions', 'id', 7, 'jurisdictions[0].id: expected string, got int'),
+    ('jurisdictions', 'id', True, 'jurisdictions[0].id: expected string, got bool'),
+    ('jurisdictions', 'id', None, 'jurisdictions[0].id: expected string, got NoneType'),
+    ('jurisdictions', 'id', {}, 'jurisdictions[0].id: expected string, got dict'),
+    ('jurisdictions', 'id', [], 'jurisdictions[0].id: expected string, got list'),
+    ('jurisdictions', 'id', ['x'], 'jurisdictions[0].id: expected string, got list'),
+    ('jurisdictions', 'name', MISSING, None),
+    ('jurisdictions', 'name', 7, 'jurisdictions[0].name: expected string, got int'),
+    ('jurisdictions', 'name', True, 'jurisdictions[0].name: expected string, got bool'),
+    ('jurisdictions', 'name', None, 'jurisdictions[0].name: expected string, got NoneType'),
+    ('jurisdictions', 'name', {}, 'jurisdictions[0].name: expected string, got dict'),
+    ('jurisdictions', 'name', [], 'jurisdictions[0].name: expected string, got list'),
+    ('jurisdictions', 'name', ['x'], 'jurisdictions[0].name: expected string, got list'),
+    ('jurisdictions', 'nickname', 'x', "jurisdictions[0]: unknown key 'nickname'"),
+    ('regulations', 'id', MISSING, "regulations[0]: missing key 'id'"),
+    ('regulations', 'id', 7, 'regulations[0].id: expected string, got int'),
+    ('regulations', 'id', True, 'regulations[0].id: expected string, got bool'),
+    ('regulations', 'id', None, 'regulations[0].id: expected string, got NoneType'),
+    ('regulations', 'id', {}, 'regulations[0].id: expected string, got dict'),
+    ('regulations', 'id', [], 'regulations[0].id: expected string, got list'),
+    ('regulations', 'id', ['x'], 'regulations[0].id: expected string, got list'),
+    ('regulations', 'title', MISSING, None),
+    ('regulations', 'title', 7, 'regulations[0].title: expected string, got int'),
+    ('regulations', 'title', True, 'regulations[0].title: expected string, got bool'),
+    ('regulations', 'title', None, 'regulations[0].title: expected string, got NoneType'),
+    ('regulations', 'title', {}, 'regulations[0].title: expected string, got dict'),
+    ('regulations', 'title', [], 'regulations[0].title: expected string, got list'),
+    ('regulations', 'title', ['x'], 'regulations[0].title: expected string, got list'),
+    ('regulations', 'jurisdictions', MISSING, "regulations[0]: missing key 'jurisdictions'"),
+    ('regulations', 'jurisdictions', 7, 'regulations[0].jurisdictions: expected array of strings, got int'),
+    ('regulations', 'jurisdictions', True, 'regulations[0].jurisdictions: expected array of strings, got bool'),
+    ('regulations', 'jurisdictions', None, 'regulations[0].jurisdictions: expected array of strings, got NoneType'),
+    ('regulations', 'jurisdictions', {}, 'regulations[0].jurisdictions: expected array of strings, got dict'),
+    ('regulations', 'jurisdictions', 'x', 'regulations[0].jurisdictions: expected array of strings, got str'),
+    ('regulations', 'jurisdictions', [7], 'regulations[0].jurisdictions: expected array of strings'),
+    ('regulations', 'jurisdictions', [['a']], 'regulations[0].jurisdictions: expected array of strings'),
+    ('regulations', 'jurisdictions', ['a', 'a'], "regulations[0].jurisdictions: duplicate entry 'a'"),
+    ('regulations', 'jurisdictions', 'ALL', 'regulations[0].jurisdictions: expected array of strings, got str'),
+    ('regulations', 'jurisdictions', [], None),
+    ('regulations', 'jurisdictions', ['a', 7, 'a'], 'regulations[0].jurisdictions: expected array of strings'),
+    ('regulations', 'jurisdictions', ['a', 'a', 7], "regulations[0].jurisdictions: duplicate entry 'a'"),
+    ('regulations', 'nickname', 'x', "regulations[0]: unknown key 'nickname'"),
+    ('products', 'id', MISSING, "products[0]: missing key 'id'"),
+    ('products', 'id', 7, 'products[0].id: expected string, got int'),
+    ('products', 'id', True, 'products[0].id: expected string, got bool'),
+    ('products', 'id', None, 'products[0].id: expected string, got NoneType'),
+    ('products', 'id', {}, 'products[0].id: expected string, got dict'),
+    ('products', 'id', [], 'products[0].id: expected string, got list'),
+    ('products', 'id', ['x'], 'products[0].id: expected string, got list'),
+    ('products', 'name', MISSING, None),
+    ('products', 'name', 7, 'products[0].name: expected string, got int'),
+    ('products', 'name', True, 'products[0].name: expected string, got bool'),
+    ('products', 'name', None, 'products[0].name: expected string, got NoneType'),
+    ('products', 'name', {}, 'products[0].name: expected string, got dict'),
+    ('products', 'name', [], 'products[0].name: expected string, got list'),
+    ('products', 'name', ['x'], 'products[0].name: expected string, got list'),
+    ('products', 'nickname', 'x', "products[0]: unknown key 'nickname'"),
+    ('requirements', 'id', MISSING, "requirements[0]: missing key 'id'"),
+    ('requirements', 'id', 7, 'requirements[0].id: expected string, got int'),
+    ('requirements', 'id', True, 'requirements[0].id: expected string, got bool'),
+    ('requirements', 'id', None, 'requirements[0].id: expected string, got NoneType'),
+    ('requirements', 'id', {}, 'requirements[0].id: expected string, got dict'),
+    ('requirements', 'id', [], 'requirements[0].id: expected string, got list'),
+    ('requirements', 'id', ['x'], 'requirements[0].id: expected string, got list'),
+    ('requirements', 'kind', MISSING, "requirements[0]: missing key 'kind'"),
+    ('requirements', 'kind', 7, 'requirements[0].kind: expected string, got int'),
+    ('requirements', 'kind', True, 'requirements[0].kind: expected string, got bool'),
+    ('requirements', 'kind', None, 'requirements[0].kind: expected string, got NoneType'),
+    ('requirements', 'kind', {}, 'requirements[0].kind: expected string, got dict'),
+    ('requirements', 'kind', [], 'requirements[0].kind: expected string, got list'),
+    ('requirements', 'kind', ['x'], 'requirements[0].kind: expected string, got list'),
+    ('requirements', 'kind', 'rl', 'requirements[0].kind: expected "RL" or "RFN", got \'rl\''),
+    ('requirements', 'kind', 'ALL', 'requirements[0].kind: expected "RL" or "RFN", got \'ALL\''),
+    ('requirements', 'kind', '', 'requirements[0].kind: expected "RL" or "RFN", got \'\''),
+    ('requirements', 'title', MISSING, None),
+    ('requirements', 'title', 7, 'requirements[0].title: expected string, got int'),
+    ('requirements', 'title', True, 'requirements[0].title: expected string, got bool'),
+    ('requirements', 'title', None, 'requirements[0].title: expected string, got NoneType'),
+    ('requirements', 'title', {}, 'requirements[0].title: expected string, got dict'),
+    ('requirements', 'title', [], 'requirements[0].title: expected string, got list'),
+    ('requirements', 'title', ['x'], 'requirements[0].title: expected string, got list'),
+    ('requirements', 'derived_from', MISSING, None),
+    ('requirements', 'derived_from', 7, 'requirements[0].derived_from: expected array of strings, got int'),
+    ('requirements', 'derived_from', True, 'requirements[0].derived_from: expected array of strings, got bool'),
+    ('requirements', 'derived_from', None, 'requirements[0].derived_from: expected array of strings, got NoneType'),
+    ('requirements', 'derived_from', {}, 'requirements[0].derived_from: expected array of strings, got dict'),
+    ('requirements', 'derived_from', 'x', 'requirements[0].derived_from: expected array of strings, got str'),
+    ('requirements', 'derived_from', [7], 'requirements[0].derived_from: expected array of strings'),
+    ('requirements', 'derived_from', [['a']], 'requirements[0].derived_from: expected array of strings'),
+    ('requirements', 'derived_from', ['a', 'a'], "requirements[0].derived_from: duplicate entry 'a'"),
+    ('requirements', 'derived_from', 'ALL', 'requirements[0].derived_from: expected array of strings, got str'),
+    ('requirements', 'derived_from', [], None),
+    ('requirements', 'derived_from', ['a', 7, 'a'], 'requirements[0].derived_from: expected array of strings'),
+    ('requirements', 'derived_from', ['a', 'a', 7], "requirements[0].derived_from: duplicate entry 'a'"),
+    ('requirements', 'human_factors', MISSING, None),
+    ('requirements', 'human_factors', 7, 'requirements[0].human_factors: expected array of strings, got int'),
+    ('requirements', 'human_factors', True, 'requirements[0].human_factors: expected array of strings, got bool'),
+    ('requirements', 'human_factors', None, 'requirements[0].human_factors: expected array of strings, got NoneType'),
+    ('requirements', 'human_factors', {}, 'requirements[0].human_factors: expected array of strings, got dict'),
+    ('requirements', 'human_factors', 'x', 'requirements[0].human_factors: expected array of strings, got str'),
+    ('requirements', 'human_factors', [7], 'requirements[0].human_factors: expected array of strings'),
+    ('requirements', 'human_factors', [['a']], 'requirements[0].human_factors: expected array of strings'),
+    ('requirements', 'human_factors', ['a', 'a'], "requirements[0].human_factors: duplicate entry 'a'"),
+    ('requirements', 'human_factors', 'ALL', 'requirements[0].human_factors: expected array of strings, got str'),
+    ('requirements', 'human_factors', [], None),
+    ('requirements', 'human_factors', ['a', 7, 'a'], 'requirements[0].human_factors: expected array of strings'),
+    ('requirements', 'human_factors', ['a', 'a', 7], "requirements[0].human_factors: duplicate entry 'a'"),
+    ('requirements', 'applies_to_products', MISSING, "requirements[0]: missing key 'applies_to_products'"),
+    ('requirements', 'applies_to_products', 7, 'requirements[0].applies_to_products: expected array of strings, got int'),
+    ('requirements', 'applies_to_products', True, 'requirements[0].applies_to_products: expected array of strings, got bool'),
+    ('requirements', 'applies_to_products', None, 'requirements[0].applies_to_products: expected array of strings, got NoneType'),
+    ('requirements', 'applies_to_products', {}, 'requirements[0].applies_to_products: expected array of strings, got dict'),
+    ('requirements', 'applies_to_products', 'x', 'requirements[0].applies_to_products: expected array of strings, got str'),
+    ('requirements', 'applies_to_products', [7], 'requirements[0].applies_to_products: expected array of strings'),
+    ('requirements', 'applies_to_products', [['a']], 'requirements[0].applies_to_products: expected array of strings'),
+    ('requirements', 'applies_to_products', ['a', 'a'], "requirements[0].applies_to_products: duplicate entry 'a'"),
+    ('requirements', 'applies_to_products', 'ALL', 'requirements[0].applies_to_products: expected array of strings, got str'),
+    ('requirements', 'applies_to_products', [], None),
+    ('requirements', 'applies_to_products', ['a', 7, 'a'], 'requirements[0].applies_to_products: expected array of strings'),
+    ('requirements', 'applies_to_products', ['a', 'a', 7], "requirements[0].applies_to_products: duplicate entry 'a'"),
+    ('requirements', 'applies_to_jurisdictions', MISSING, "requirements[0]: missing key 'applies_to_jurisdictions'"),
+    ('requirements', 'applies_to_jurisdictions', 7, 'requirements[0].applies_to_jurisdictions: expected array of strings, got int'),
+    ('requirements', 'applies_to_jurisdictions', True, 'requirements[0].applies_to_jurisdictions: expected array of strings, got bool'),
+    ('requirements', 'applies_to_jurisdictions', None, 'requirements[0].applies_to_jurisdictions: expected array of strings, got NoneType'),
+    ('requirements', 'applies_to_jurisdictions', {}, 'requirements[0].applies_to_jurisdictions: expected array of strings, got dict'),
+    ('requirements', 'applies_to_jurisdictions', 'x', 'requirements[0].applies_to_jurisdictions: expected array of strings, got str'),
+    ('requirements', 'applies_to_jurisdictions', [7], 'requirements[0].applies_to_jurisdictions: expected array of strings'),
+    ('requirements', 'applies_to_jurisdictions', [['a']], 'requirements[0].applies_to_jurisdictions: expected array of strings'),
+    ('requirements', 'applies_to_jurisdictions', ['a', 'a'], "requirements[0].applies_to_jurisdictions: duplicate entry 'a'"),
+    ('requirements', 'applies_to_jurisdictions', 'ALL', 'requirements[0].applies_to_jurisdictions: expected array of strings, got str'),
+    ('requirements', 'applies_to_jurisdictions', [], None),
+    ('requirements', 'applies_to_jurisdictions', ['a', 7, 'a'], 'requirements[0].applies_to_jurisdictions: expected array of strings'),
+    ('requirements', 'applies_to_jurisdictions', ['a', 'a', 7], "requirements[0].applies_to_jurisdictions: duplicate entry 'a'"),
+    ('requirements', 'nickname', 'x', "requirements[0]: unknown key 'nickname'"),
+    ('refinements', 'stronger', MISSING, "refinements[0]: missing key 'stronger'"),
+    ('refinements', 'stronger', 7, 'refinements[0].stronger: expected string, got int'),
+    ('refinements', 'stronger', True, 'refinements[0].stronger: expected string, got bool'),
+    ('refinements', 'stronger', None, 'refinements[0].stronger: expected string, got NoneType'),
+    ('refinements', 'stronger', {}, 'refinements[0].stronger: expected string, got dict'),
+    ('refinements', 'stronger', [], 'refinements[0].stronger: expected string, got list'),
+    ('refinements', 'stronger', ['x'], 'refinements[0].stronger: expected string, got list'),
+    ('refinements', 'weaker', MISSING, "refinements[0]: missing key 'weaker'"),
+    ('refinements', 'weaker', 7, 'refinements[0].weaker: expected string, got int'),
+    ('refinements', 'weaker', True, 'refinements[0].weaker: expected string, got bool'),
+    ('refinements', 'weaker', None, 'refinements[0].weaker: expected string, got NoneType'),
+    ('refinements', 'weaker', {}, 'refinements[0].weaker: expected string, got dict'),
+    ('refinements', 'weaker', [], 'refinements[0].weaker: expected string, got list'),
+    ('refinements', 'weaker', ['x'], 'refinements[0].weaker: expected string, got list'),
+    ('refinements', 'nickname', 'x', "refinements[0]: unknown key 'nickname'"),
+]
+
+
+def _document(**collections) -> str:
+    doc = json.loads(MINIMAL)
+    doc.update(collections)
+    return json.dumps(doc)
+
+
+def _schema_message(text: str) -> str | None:
+    try:
+        loads(text)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("collection, key, value, message", SCHEMA_MESSAGES)
+def test_schema_messages_are_pinned(collection, key, value, message):
+    entry = dict(VALID_ENTRY[collection])
+    if value is MISSING:
+        del entry[key]
+    else:
+        entry[key] = value
+    assert _schema_message(_document(**{collection: [entry]})) == message
+
+
+def _requirement(**changes) -> dict:
+    entry = dict(VALID_ENTRY["requirements"], **changes)
+    return {key: value for key, value in entry.items() if value is not MISSING}
+
+
+# Two bad places at once: the first in document order is reported. Within
+# one requirement `kind` is checked before `id`, and every entry of a
+# collection must be an object before any entry's keys are checked.
+FIRST_ERROR_WINS = [
+    ({"requirements": [_requirement(derived_from=7), _requirement(id=7)]}, 'requirements[0].derived_from: expected array of strings, got int'),
+    ({"requirements": [_requirement(id=7, kind=5)]}, 'requirements[0].kind: expected string, got int'),
+    ({"requirements": [_requirement(id=MISSING, kind=MISSING)]}, "requirements[0]: missing key 'id'"),
+    (
+        {"requirements": [_requirement(human_factors=["a", "a"], applies_to_products=7)]},
+        "requirements[0].human_factors: duplicate entry 'a'",
+    ),
+    ({"requirements": [_requirement(title=None, zz=1)]}, "requirements[0]: unknown key 'zz'"),
+    ({"requirements": [_requirement(zz=1, applies_to_products=MISSING)]}, "requirements[0]: unknown key 'zz'"),
+    (
+        {
+            "jurisdictions": [{"id": "C1"}, {"id": "C2", "name": 7}],
+            "requirements": [_requirement(kind="x")],
+        },
+        'jurisdictions[1].name: expected string, got int',
+    ),
+    ({"products": [{"id": "P1", "x": 1}, 5]}, 'products[1]: expected object, got int'),
+    ({"regulations": [{"id": 7, "zz": 1, "jurisdictions": "all"}]}, "regulations[0]: unknown key 'zz'"),
+    ({"requirements": [_requirement(kind="x")], "refinements": "x"}, 'requirements[0].kind: expected "RL" or "RFN", got \'x\''),
+    ({"jurisdictions": "x", "requirements": [_requirement(kind="x")]}, 'jurisdictions: expected array, got str'),
+    ({"refinements": [{"stronger": 1, "weaker": 2}]}, 'refinements[0].stronger: expected string, got int'),
+]
+
+
+@pytest.mark.parametrize("collections, message", FIRST_ERROR_WINS)
+def test_first_schema_error_in_document_order_wins(collections, message):
+    assert _schema_message(_document(**collections)) == message
+
+
 def test_deeply_nested_document_is_a_parse_error():
     depth = 100_000
     with pytest.raises(ParseError, match="nested too deeply"):

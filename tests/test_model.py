@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from pathlib import Path
 
 from catgen import random_catalog, random_digraph
+from reqlattice.io import load
 from reqlattice.model import (
     ALL,
     CYCLE,
@@ -19,13 +21,17 @@ from reqlattice.model import (
     Jurisdiction,
     Kind,
     Product,
+    Issue,
     RefinementEdge,
     Regulation,
     Requirement,
     Severity,
+    _cycle_components,
     expand_scope,
     validate,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def rfn(rid: str, **kwargs) -> Requirement:
@@ -232,6 +238,63 @@ def test_cycle_error_iff_dfs_finds_back_edge():
         report = validate(catalog)
         found_cycle = CYCLE in codes(report.errors)
         assert found_cycle == _has_back_edge(nodes, edges), (nodes, edges)
+
+
+def _brute_force_cycles(nodes, edges) -> list[list[str]]:
+    # Independent oracle: two nodes share a component iff each reaches the other.
+    reach = {}
+    for start in nodes:
+        seen, stack = set(), [start]
+        while stack:
+            node = stack.pop()
+            for a, b in edges:
+                if a == node and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        reach[start] = seen
+    components = {
+        frozenset([n, *(m for m in reach[n] if n in reach[m])]) for n in nodes
+    }
+    return sorted(sorted(c) for c in components if len(c) > 1)
+
+
+def _graph_with_cycles(rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
+    """Disjoint cycles with chains running into and out of them, extra
+    forward edges, and nodes on no edge at all."""
+    nodes = [f"n{i:02d}" for i in range(rng.randint(2, 24))]
+    order = nodes[:]
+    rng.shuffle(order)
+    edges = set()
+    for i in range(len(order) - 1):  # forward chain edges: acyclic on their own
+        if rng.random() < 0.5:
+            edges.add((order[i], order[i + 1]))
+        j = rng.randrange(i + 1, len(order))
+        if rng.random() < 0.3:
+            edges.add((order[i], order[j]))
+    for _ in range(rng.randint(0, 3)):  # back edges close cycles
+        i, j = sorted(rng.sample(range(len(order)), 2))
+        for k in range(i, j):
+            edges.add((order[k], order[k + 1]))
+        edges.add((order[j], order[i]))
+    return nodes, sorted(edges)
+
+
+def test_cycle_components_match_brute_force_strong_components():
+    rng = random.Random(4242)
+    for trial in range(300):
+        if trial % 2:
+            nodes, edges = _graph_with_cycles(rng)
+        else:
+            nodes, edges = random_digraph(rng, max_nodes=9, edge_prob=rng.uniform(0.05, 0.3))
+        assert _cycle_components(edges) == _brute_force_cycles(nodes, edges), (nodes, edges)
+
+
+def test_cycle_fixture_reports_the_same_cycle_issue():
+    report = validate(load(DATA / "cycle.reqcat.json"))
+    assert report.errors == (
+        Issue(Severity.ERROR, CYCLE, "refinement cycle through: x, y", ("x", "y")),
+    )
+    assert report.warnings == ()
 
 
 def test_catalog_collections_are_normalised_and_immutable():

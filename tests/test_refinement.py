@@ -90,6 +90,8 @@ def test_from_edges_rejects_cycles_and_foreign_endpoints():
         graph_of(["a"], [("a", "a")])
     with pytest.raises(ValueError):
         graph_of(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(ValueError):  # a 2-cycle with a chain above and below it
+        graph_of(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")])
 
 
 def test_graph_holds_direct_edges_only():

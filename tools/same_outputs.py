@@ -1,0 +1,268 @@
+"""Check that two reqlattice source trees give byte-identical CLI outputs.
+
+Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a `src` directory holding the `reqlattice` package, for
+example the checkout of a parent commit and the working tree. The script
+writes two sets of catalogs into a temporary directory:
+
+* the benchmark's `wide`, `deep` and `edit` catalogs for seeds 11 and 12,
+  made by importing `bench/catgen.py` (only read, never changed);
+* a few hundred hostile catalogs: the `tests/data` fixtures mutated with
+  a seeded RNG (strings renamed, values retyped, keys dropped or added,
+  entries duplicated, ids reused, text truncated, lone surrogates).
+
+It then runs one fixed list of argv through `reqlattice.cli.main`, once
+per source tree, each side in its own subprocess. The list covers every
+command kind in text and `--json` form, unknown-id errors and usage
+errors. For every call it compares the exit code, stdout, stderr and the
+bytes of any `.dot` file written, with each side's output directory
+replaced by a placeholder. It prints the number of calls compared and
+every difference, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (11, 12)
+SHAPES = ("wide", "deep", "edit")
+HOSTILE = 300
+OUT = "{out}"  # stands for the side's own output directory
+
+
+def _with_json(argvs: list[list[str]]) -> list[list[str]]:
+    return [variant for argv in argvs for variant in (argv, [*argv, "--json"])]
+
+
+def _valid_calls(path: str, products: list[str], jurisdictions: list[str], regulations: list[str]):
+    p0, p1 = products[0], products[-1]
+    j0, j1 = jurisdictions[0], jurisdictions[-1]
+    step = max(1, len(regulations) // 4)
+    kinds = ([], ["--kind", "rl"], ["--kind", "rfn"])
+    argvs = [["validate", path], ["classify", path]]
+    for p, j in ((p0, j0), (p1, j1)):
+        argvs += [["sets", path, "--product", p, "--jurisdiction", j, *kind] for kind in kinds]
+    argvs += [["sets", path, "--product", p0, *kind] for kind in kinds]
+    for j in (j0, j1):
+        argvs += [["sets", path, "--jurisdiction", j, flag] for flag in ("--rl", "--min")]
+    argvs += [
+        ["optimize", path, "--jurisdiction", j0],
+        ["optimize", path, "--product", p0],
+        ["optimize", path, "--global"],
+    ]
+    argvs += [["impact", path, "--regulation", r] for r in regulations[::step][:5]]
+    argvs += [
+        ["export", path, "--view", "country", "--focus", j0],
+        ["export", path, "--view", "product", "--focus", p1],
+        ["export", path, "--view", "global"],
+    ]
+    # Unknown ids and flag misuse.
+    argvs += [
+        ["sets", path, "--product", "NOPE"],
+        ["sets", path, "--product", p0, "--jurisdiction", "NOPE"],
+        ["sets", path, "--jurisdiction", "NOPE", "--min"],
+        ["sets", path],
+        ["optimize", path, "--jurisdiction", "NOPE"],
+        ["impact", path, "--regulation", "NOPE"],
+        ["export", path, "--view", "country", "--focus", "NOPE"],
+        ["export", path, "--view", "global", "--focus", j0],
+    ]
+    return _with_json(argvs)
+
+
+def _ids(document, collection: str) -> list[str]:
+    entries = document.get(collection) if isinstance(document, dict) else None
+    if not isinstance(entries, list):
+        return []
+    return [e["id"] for e in entries if isinstance(e, dict) and isinstance(e.get("id"), str)]
+
+
+def _hostile_calls(path: str, document) -> list[list[str]]:
+    p = (_ids(document, "products") or ["x"])[0]
+    j = (_ids(document, "jurisdictions") or ["x"])[0]
+    r = (_ids(document, "regulations") or ["x"])[0]
+    return [
+        ["validate", path],
+        ["validate", path, "--json"],
+        ["sets", path, "--product", p],
+        ["sets", path, "--jurisdiction", j, "--min", "--json"],
+        ["optimize", path, "--global"],
+        ["optimize", path, "--product", p, "--json"],
+        ["classify", path, "--json"],
+        ["impact", path, "--regulation", r],
+        ["export", path, "--view", "global"],
+        ["export", path, "--view", "country", "--focus", j, "--json"],
+    ]
+
+
+VALUES = [None, True, 0, 7, "", "all", "ALL", "x", "\ud800"]
+VALUES += [[], ["x"], ["x", "x"], [1], [["x"]], {}]
+
+
+def _slots(value, out: list) -> list:
+    """Every (container, key) pair in a JSON tree."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        out.append((value, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+def _mutate(rng: random.Random, document) -> tuple[object, str]:
+    doc = copy.deepcopy(document)
+    strings = sorted({c[k] for c, k in _slots(doc, []) if isinstance(c[k], str)})
+    for _ in range(rng.randint(1, 3)):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = rng.choice(slots)
+        action = rng.choice(["reuse", "reuse", "retype", "delete", "duplicate", "add"])
+        if action == "reuse" and isinstance(container[key], str) and strings:
+            container[key] = rng.choice(strings)  # duplicate ids, self-edges, cycles
+        elif action == "retype":
+            container[key] = copy.deepcopy(rng.choice(VALUES))
+        elif action == "delete":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+        elif action == "add" and isinstance(container, dict):
+            container[rng.choice(["zz", "name", "id", "title"])] = copy.deepcopy(rng.choice(VALUES))
+    text = json.dumps(doc, indent=rng.choice([None, 2]))  # lone surrogates become \u escapes
+    if rng.random() < 0.05:
+        text = text[: rng.randrange(len(text) + 1)]
+    return doc, text
+
+
+def _write_catalogs(work: Path) -> list[list[str]]:
+    """Write every catalog under `work` and return the argv list."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import catgen
+
+    calls: list[list[str]] = []
+    for shape in SHAPES:
+        for seed in SEEDS:
+            doc = catgen.generate(catgen.SHAPES[shape], seed)
+            path = work / f"{shape}-{seed}.reqcat.json"
+            path.write_text(doc.text(), encoding="utf-8")
+            calls += _valid_calls(
+                str(path),
+                [p["id"] for p in doc.products],
+                [j["id"] for j in doc.jurisdictions],
+                [r["id"] for r in doc.regulations],
+            )
+    fixtures = sorted((ROOT / "tests" / "data").glob("*.reqcat.json"))
+    documents = []
+    for fixture in fixtures:
+        try:
+            document = json.loads(fixture.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            document = None  # the malformed fixture joins only as it is
+        else:
+            documents.append(document)
+        calls += _hostile_calls(str(fixture), document)
+    rng = random.Random(20151)
+    for i in range(HOSTILE):
+        doc, text = _mutate(rng, rng.choice(documents))
+        path = work / f"hostile-{i:03d}.reqcat.json"
+        path.write_text(text, encoding="utf-8")
+        calls += _hostile_calls(str(path), doc)
+    for i, argv in enumerate(calls):
+        if argv[0] == "export":
+            argv += ["--out", f"{OUT}/view-{i}.dot"]
+    return calls
+
+
+def _worker(src: str, out_dir: str, calls_path: str, results_path: str) -> None:
+    """Run every call through `cli.main` in this process and write the results."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    sys.path.insert(0, src)
+    from reqlattice.cli import main
+
+    results = []
+    for argv in json.loads(Path(calls_path).read_text(encoding="utf-8")):
+        argv = [arg.replace(OUT, out_dir) for arg in argv]
+        out, err = io.BytesIO(), io.BytesIO()
+        # Strict UTF-8 stdout, as a UTF-8 locale gives; stderr escapes.
+        stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+        stderr = io.TextIOWrapper(
+            err, encoding="utf-8", errors="backslashreplace", write_through=True
+        )
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback is a result to compare too
+                code = f"raised {type(exc).__name__}: {exc}"
+        dot = b""
+        if argv[0] == "export":
+            view = Path(argv[-1])
+            if view.exists():
+                dot = view.read_bytes()
+                view.unlink()
+        results.append(
+            [
+                code,
+                *(
+                    data.decode("utf-8", "surrogateescape").replace(out_dir, OUT)
+                    for data in (out.getvalue(), err.getvalue(), dot)
+                ),
+            ]
+        )
+    Path(results_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(src, "reqlattice", "__init__.py").is_file() for src in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("each path must be a src directory holding the reqlattice package", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        work = Path(tmp)
+        calls = _write_catalogs(work)
+        calls_path = work / "calls.json"
+        calls_path.write_text(json.dumps(calls), encoding="utf-8")
+        sides = []
+        for name, src in zip(("parent", "change"), argv):
+            out_dir = work / name
+            out_dir.mkdir()
+            results = work / f"{name}.json"
+            code = (
+                f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                "import same_outputs; same_outputs._worker(*sys.argv[1:])"
+            )
+            paths = [Path(src).resolve(), out_dir, calls_path, results]
+            command = [sys.executable, "-c", code, *map(str, paths)]
+            sides.append((subprocess.Popen(command, cwd=work), results))
+        for process, _ in sides:
+            if process.wait() != 0:
+                print(f"error: a worker exited with {process.returncode}", file=sys.stderr)
+                return 2
+        parent, change = (json.loads(results.read_text(encoding="utf-8")) for _, results in sides)
+    differences = 0
+    for argv, a, b in zip(calls, parent, change):
+        for field, x, y in zip(("exit code", "stdout", "stderr", ".dot"), a, b):
+            if x != y:
+                differences += 1
+                print(f"DIFFERENT {field}: {argv!a}")
+                print(f"  parent: {str(x)[:300]!a}\n  change: {str(y)[:300]!a}")
+    exits = Counter(str(result[0]) for result in parent)
+    tally = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
+    print(f"compared {len(calls)} calls ({tally} at the parent): {differences} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
