@@ -5,6 +5,7 @@ from .algebra import (
     Partition,
     RequirementSet,
     SharedRegulations,
+    general_part,
     global_union,
     jurisdiction_regulations,
     jurisdiction_rl,

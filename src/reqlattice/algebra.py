@@ -22,10 +22,11 @@ The constructions:
   into the part identical across jurisdictions and each jurisdiction's
   remainder.
 
-The general part of a partition is computed as the intersection of the
-per-jurisdiction projections, which makes "the general part is the same
-in every jurisdiction" a construction guarantee rather than an input
-assumption.
+The general part of a partition is computed as the product's kind-set
+intersected with the requirements in every jurisdiction
+(`Catalog.requirements_in_every_jurisdiction`), which makes "the general
+part is the same in every jurisdiction" a construction guarantee rather
+than an input assumption.
 
 RFN requirements reuse the same applicability machinery as RL ones;
 human-factor tags never affect set membership, only reporting.
@@ -107,11 +108,6 @@ def _require(entity_id: str, known: frozenset[str], what: str) -> None:
         raise UnknownIdError(f"unknown {what}: {entity_id!r}")
 
 
-def _covered(by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    """The owners whose scope covers at least one entity of the map."""
-    return frozenset().union(*by_entity.values())
-
-
 def requirements_for(
     catalog: Catalog,
     product_id: str,
@@ -140,7 +136,7 @@ def product_union(catalog: Catalog, product_id: str) -> RequirementSet:
     over all jurisdictions."""
     _require(product_id, catalog.product_ids, "product")
     return RequirementSet(
-        catalog.requirements_by_product[product_id] & _covered(catalog.requirements_by_jurisdiction)
+        catalog.requirements_by_product[product_id] & catalog.requirements_in_some_jurisdiction
     )
 
 
@@ -148,7 +144,7 @@ def global_union(catalog: Catalog) -> RequirementSet:
     """Every requirement applicable to at least one (product, jurisdiction)
     pair: the union of the product unions."""
     return RequirementSet(
-        _covered(catalog.requirements_by_product) & _covered(catalog.requirements_by_jurisdiction)
+        catalog.requirements_on_some_product & catalog.requirements_in_some_jurisdiction
     )
 
 
@@ -159,7 +155,7 @@ def jurisdiction_rl(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     return RequirementSet(
         catalog.requirements_by_jurisdiction[jurisdiction_id]
         & catalog.requirements_by_kind[Kind.RL]
-        & _covered(catalog.requirements_by_product)
+        & catalog.requirements_on_some_product
     )
 
 
@@ -195,7 +191,21 @@ def rl_min(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     return RequirementSet(
         catalog.requirements_by_jurisdiction[jurisdiction_id]
         & catalog.requirements_by_kind[Kind.RL]
-        & frozenset.intersection(*catalog.requirements_by_product.values())
+        & catalog.requirements_on_every_product
+    )
+
+
+def general_part(catalog: Catalog, product_id: str, kind: Kind | str) -> RequirementSet:
+    """The product's requirements of one kind that every jurisdiction
+    demands: the general part of `partition_general_specific`, without
+    building the specific parts."""
+    if not catalog.jurisdictions:
+        raise EmptyCatalogError("partitioning needs at least one jurisdiction")
+    _require(product_id, catalog.product_ids, "product")
+    return RequirementSet(
+        catalog.requirements_by_product[product_id]
+        & catalog.requirements_by_kind[_as_kind(kind)]
+        & catalog.requirements_in_every_jurisdiction
     )
 
 
@@ -205,18 +215,15 @@ def partition_general_specific(
     """Split one product's requirements of one kind into the part shared by
     every jurisdiction and each jurisdiction's specific remainder.
 
-    The general part is the intersection of the per-jurisdiction
-    projections; specific[j] is the j-projection minus the general part.
+    The general part is `general_part`, which equals the intersection of
+    the per-jurisdiction projections; specific[j] is the j-projection minus
+    the general part.
     """
-    if not catalog.jurisdictions:
-        raise EmptyCatalogError("partitioning needs at least one jurisdiction")
-    _require(product_id, catalog.product_ids, "product")
-    projections = {
-        j.id: requirements_for(catalog, product_id, j.id, kind).members
-        for j in catalog.jurisdictions
-    }
-    general = frozenset.intersection(*projections.values())
+    general = general_part(catalog, product_id, kind)
     return Partition(
-        general=RequirementSet(general),
-        specific={jid: RequirementSet(members - general) for jid, members in projections.items()},
+        general=general,
+        specific={
+            j.id: requirements_for(catalog, product_id, j.id, kind) - general
+            for j in catalog.jurisdictions
+        },
     )

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .algebra import (
     RequirementSet,
-    partition_general_specific,
+    general_part,
     rl_min,
     shared_regulations,
 )
@@ -212,7 +212,7 @@ def consistency_diagnostics(catalog: Catalog) -> list[Issue]:
         return []
     issues: list[Issue] = []
     for product in catalog.products:
-        general = partition_general_specific(catalog, product.id, Kind.RL).general
+        general = general_part(catalog, product.id, Kind.RL)
         if general:
             issues.append(
                 Issue(

@@ -117,11 +117,11 @@ def cmd_sets(args: argparse.Namespace) -> int:
     if args.rl and args.min:
         raise UnknownFlagCombo("--rl and --min are mutually exclusive")
     if args.rl or args.min:
-        if args.product or args.kind:
+        if args.product is not None or args.kind is not None:
             raise UnknownFlagCombo("--rl/--min combine only with --jurisdiction")
-        if not args.jurisdiction:
+        if args.jurisdiction is None:
             raise UnknownFlagCombo("--rl/--min need --jurisdiction")
-    elif not args.product:
+    elif args.product is None:
         raise UnknownFlagCombo(
             "choose a construct: --product [...] or --jurisdiction with --rl/--min"
         )
@@ -131,11 +131,11 @@ def cmd_sets(args: argparse.Namespace) -> int:
         result = jurisdiction_rl(catalog, args.jurisdiction)
     elif args.min:
         result = rl_min(catalog, args.jurisdiction)
-    elif args.jurisdiction:
+    elif args.jurisdiction is not None:
         result = requirements_for(catalog, args.product, args.jurisdiction, args.kind)
     else:
         result = product_union(catalog, args.product)
-        if args.kind:
+        if args.kind is not None:
             of_kind = catalog.requirements_by_kind[Kind(args.kind.upper())]
             result = RequirementSet(result.members & of_kind)
     _print_set(result, args)
@@ -144,9 +144,9 @@ def cmd_sets(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     catalog, graph = _load_validated(args.catalog)
-    if args.jurisdiction:
+    if args.jurisdiction is not None:
         base = jurisdiction_rl(catalog, args.jurisdiction)
-    elif args.product:
+    elif args.product is not None:
         base = product_union(catalog, args.product)
     else:
         base = global_union(catalog)

@@ -372,23 +372,25 @@ def _country_view(catalog: Catalog, jurisdiction_id: str) -> GraphView:
     ]
     edges = []
     for product in catalog.products:
-        rl = algebra.partition_general_specific(catalog, product.id, Kind.RL)
-        rfn = algebra.partition_general_specific(catalog, product.id, Kind.RFN)
         pid = product.id
+        # Only the focus jurisdiction's specific parts are rendered, so the
+        # partition is built for that one jurisdiction.
+        rl_gen = algebra.general_part(catalog, pid, Kind.RL)
+        rfn_gen = algebra.general_part(catalog, pid, Kind.RFN)
+        rl_spec = algebra.requirements_for(catalog, pid, jurisdiction_id, Kind.RL) - rl_gen
+        rfn_spec = algebra.requirements_for(catalog, pid, jurisdiction_id, Kind.RFN) - rfn_gen
         rl_general, rl_specific = _node_id("rl_general", pid), _node_id("rl_specific", pid)
         nodes.extend(
             [
-                (rl_general, f"RL general [{pid}]: " + _label_ids(rl.general)),
+                (rl_general, f"RL general [{pid}]: " + _label_ids(rl_gen)),
                 (
                     rl_specific,
-                    f"RL specific [{pid}, {jurisdiction_id}]: "
-                    + _label_ids(rl.specific[jurisdiction_id]),
+                    f"RL specific [{pid}, {jurisdiction_id}]: " + _label_ids(rl_spec),
                 ),
-                (_node_id("rfn_general", pid), f"RFN general [{pid}]: " + _label_ids(rfn.general)),
+                (_node_id("rfn_general", pid), f"RFN general [{pid}]: " + _label_ids(rfn_gen)),
                 (
                     _node_id("rfn_specific", pid),
-                    f"RFN specific [{pid}, {jurisdiction_id}]: "
-                    + _label_ids(rfn.specific[jurisdiction_id]),
+                    f"RFN specific [{pid}, {jurisdiction_id}]: " + _label_ids(rfn_spec),
                 ),
             ]
         )

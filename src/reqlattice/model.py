@@ -67,6 +67,12 @@ def _invert(
     return {entity: frozenset(owners.pop(entity)) for entity in list(owners)}
 
 
+def _fold(combine, by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Combine a map's values with `frozenset.intersection` or `.union`;
+    a map with no entities folds to the empty set."""
+    return combine(*by_entity.values()) if by_entity else frozenset()
+
+
 def _is_scope(value) -> bool:
     return value is ALL or type(value) is frozenset
 
@@ -220,7 +226,13 @@ class Catalog:
         return out
 
     # Scope expansion happens here and nowhere else: each map is built on
-    # first use, and `algebra` intersects and unites its values.
+    # first use, and `algebra` intersects and unites its values.  Beside the
+    # maps sit four per-axis aggregates, each folded from its map once: the
+    # requirements on every product, on some product, in every jurisdiction
+    # and in some jurisdiction.  An axis with no entities has empty
+    # aggregates ("every" is not the vacuous universe; the constructs that
+    # need an "every" refuse an empty axis first).  Like the maps, filling
+    # in an aggregate is idempotent.
 
     @cached_property
     def requirements_by_product(self) -> dict[str, frozenset[str]]:
@@ -240,6 +252,22 @@ class Catalog:
     def regulations_by_jurisdiction(self) -> dict[str, frozenset[str]]:
         pairs = ((r.id, r.jurisdictions) for r in self.regulations)
         return _invert(pairs, (j.id for j in self.jurisdictions))
+
+    @cached_property
+    def requirements_on_every_product(self) -> frozenset[str]:
+        return _fold(frozenset.intersection, self.requirements_by_product)
+
+    @cached_property
+    def requirements_on_some_product(self) -> frozenset[str]:
+        return _fold(frozenset.union, self.requirements_by_product)
+
+    @cached_property
+    def requirements_in_every_jurisdiction(self) -> frozenset[str]:
+        return _fold(frozenset.intersection, self.requirements_by_jurisdiction)
+
+    @cached_property
+    def requirements_in_some_jurisdiction(self) -> frozenset[str]:
+        return _fold(frozenset.union, self.requirements_by_jurisdiction)
 
 
 class Severity(str, Enum):

@@ -151,6 +151,27 @@ def test_sets_flag_conflicts_exit_two(capsys):
         assert "error:" in err
 
 
+def test_empty_string_selectors_are_unknown_ids(capsys):
+    """An empty selector names no entity; it never falls through to
+    another construct."""
+    cases = [
+        (("optimize", PARTIAL, "--jurisdiction", ""), "unknown jurisdiction: ''"),
+        (("optimize", PARTIAL, "--product", ""), "unknown product: ''"),
+        (("sets", PARTIAL, "--product", "P1", "--jurisdiction", ""), "unknown jurisdiction: ''"),
+        (("sets", PARTIAL, "--product", ""), "unknown product: ''"),
+        (("sets", PARTIAL, "--jurisdiction", "", "--rl"), "unknown jurisdiction: ''"),
+        (("sets", PARTIAL, "--jurisdiction", "", "--min"), "unknown jurisdiction: ''"),
+        (
+            ("sets", PARTIAL, "--product", "", "--jurisdiction", "C1", "--rl"),
+            "--rl/--min combine only with --jurisdiction",
+        ),
+    ]
+    for argv, message in cases:
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *json_flag)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_optimize_chain_reports_witnesses(capsys):
     code, out, _ = run(capsys, "optimize", CHAIN, "--global")
     assert code == 0

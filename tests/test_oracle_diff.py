@@ -1,0 +1,248 @@
+"""Differential test of the CLI's answers against the benchmark's oracle.
+
+`bench/oracle.py` computes every answer by brute-force scope scans over
+the plain JSON document and shares no code with `reqlattice`. Both it and
+`bench/catgen.py` are loaded read-only from `bench/`. Each catalog is a
+seeded `catgen.TINY` shape or a corner derived from one: one
+jurisdiction, zero products, zero jurisdictions, or every scope `"all"`.
+Every answer goes through `cli.main --json` in process, except the
+partitions and the reuse report, which have no command and are checked
+through the library.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from reqlattice.algebra import general_part, partition_general_specific
+from reqlattice.analysis import reuse_candidates
+from reqlattice.cli import main
+from reqlattice.errors import EmptyCatalogError
+from reqlattice.io import load, loads
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# `bench/oracle.py` imports `catgen`, which in `tests/` names another module.
+catgen = _load_bench("catgen")
+_shadowed = sys.modules.get("catgen")
+sys.modules["catgen"] = catgen
+try:
+    oracle_module = _load_bench("oracle")
+finally:
+    if _shadowed is None:
+        del sys.modules["catgen"]
+    else:
+        sys.modules["catgen"] = _shadowed
+Oracle, check_dot, check_optimize = (
+    oracle_module.Oracle,
+    oracle_module.check_dot,
+    oracle_module.check_optimize,
+)
+
+
+def _restricted(doc, jids, pids):
+    """`doc` over only the given jurisdictions and products; explicit scopes
+    lose every id outside them, `"all"` scopes stay, and a regulation left
+    with no jurisdiction (an error) becomes `"all"`."""
+
+    def keep(scope, ids):
+        return scope if scope == "all" else [i for i in scope if i in ids]
+
+    requirements = {
+        rid: {
+            **req,
+            "applies_to_jurisdictions": keep(req["applies_to_jurisdictions"], jids),
+            "applies_to_products": keep(req["applies_to_products"], pids),
+        }
+        for rid, req in doc.requirements.items()
+    }
+    return dataclasses.replace(
+        doc,
+        jurisdictions=[j for j in doc.jurisdictions if j["id"] in jids],
+        regulations=[
+            {**r, "jurisdictions": keep(r["jurisdictions"], jids) or "all"} for r in doc.regulations
+        ],
+        products=[p for p in doc.products if p["id"] in pids],
+        requirements=requirements,
+    )
+
+
+def _all_scoped(doc):
+    scopes = {"applies_to_jurisdictions": "all", "applies_to_products": "all"}
+    return dataclasses.replace(
+        doc,
+        regulations=[{**r, "jurisdictions": "all"} for r in doc.regulations],
+        requirements={rid: {**req, **scopes} for rid, req in doc.requirements.items()},
+    )
+
+
+def _catalogs():
+    out = {
+        f"{shape}-{seed}": catgen.generate(catgen.TINY[shape], seed)
+        for shape, seeds in (("wide", (11, 12)), ("deep", (11,)), ("edit", (11,)))
+        for seed in seeds
+    }
+    base = catgen.generate(catgen.TINY["wide"], 13)
+    jids = [j["id"] for j in base.jurisdictions]
+    pids = [p["id"] for p in base.products]
+    out["one-jurisdiction"] = _restricted(base, jids[1:2], pids)
+    out["zero-products"] = _restricted(base, jids, [])
+    out["zero-jurisdictions"] = _restricted(base, [], pids)
+    out["all-scopes"] = _all_scoped(base)
+    return out
+
+
+CATALOGS = _catalogs()
+KINDS = {None: [], "RL": ["--kind", "rl"], "RFN": ["--kind", "rfn"]}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _answer(argv):
+    code, out, err = _run(argv)
+    assert code == 0, (argv, err)
+    return json.loads(out)
+
+
+def _refused(argv):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: "), argv
+
+
+def _ids(payload):
+    assert payload["count"] == len(payload["ids"])
+    return payload["ids"]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_cli_answers_match_the_oracle(name, tmp_path):
+    doc = CATALOGS[name]
+    path = tmp_path / "catalog.reqcat.json"
+    path.write_text(doc.text(), encoding="utf-8")
+    cat = str(path)
+    oracle = Oracle(doc)
+    jids, pids = oracle.jids, oracle.pids
+
+    assert _answer(["validate", cat])["ok"]
+    for j in jids:
+        for p in pids:
+            for kind, flag in KINDS.items():
+                got = _ids(_answer(["sets", cat, "--product", p, "--jurisdiction", j, *flag]))
+                assert got == sorted(oracle.projection(p, j, kind)), (p, j, kind)
+        got = _ids(_answer(["sets", cat, "--jurisdiction", j, "--rl"]))
+        assert got == sorted(oracle.jurisdiction_rl(j)), j
+        if pids:
+            got = _ids(_answer(["sets", cat, "--jurisdiction", j, "--min"]))
+            assert got == sorted(oracle.rl_min(j)), j
+        else:
+            _refused(["sets", cat, "--jurisdiction", j, "--min"])
+    for p in pids:
+        for kind, flag in KINDS.items():
+            want = frozenset().union(*(oracle.projection(p, j, kind) for j in jids))
+            assert _ids(_answer(["sets", cat, "--product", p, *flag])) == sorted(want), (p, kind)
+
+    for scope, base in [
+        *((["--jurisdiction", j], oracle.jurisdiction_rl(j)) for j in jids),
+        *((["--product", p], oracle.product_union(p)) for p in pids),
+        (["--global"], oracle.global_union()),
+    ]:
+        assert check_optimize(oracle, base, _answer(["optimize", cat, *scope])) is None, scope
+
+    if jids:
+        assert _answer(["classify", cat]) == oracle.classify()
+        for reg in oracle.regulations:
+            assert _answer(["impact", cat, "--regulation", reg]) == oracle.impact(reg), reg
+    else:
+        _refused(["classify", cat])
+
+    out = str(tmp_path / "view.dot")
+    views = [
+        *(("country", j) for j in jids),
+        *(("product", p) for p in pids),
+        ("global", None),
+    ]
+    for view, focus in views:
+        focus_flag = [] if focus is None else ["--focus", focus]
+        _answer(["export", cat, "--view", view, *focus_flag, "--out", out])
+        text = Path(out).read_text(encoding="utf-8")
+        if view == "global" and not (jids and pids):
+            # The global view of a catalog with an empty axis has no nodes.
+            assert text == "digraph global {\n  rankdir=LR;\n  node [shape=box];\n}\n"
+        else:
+            assert check_dot(oracle, view, focus, text) is None, (view, focus)
+
+    catalog = load(path)
+    for p in pids:
+        for kind in ("RL", "RFN"):
+            if not jids:
+                with pytest.raises(EmptyCatalogError):
+                    general_part(catalog, p, kind)
+                continue
+            want_general, want_specific = oracle.partition(p, kind)
+            part = partition_general_specific(catalog, p, kind)
+            assert part.general.members == want_general == general_part(catalog, p, kind).members
+            assert {j: s.members for j, s in part.specific.items()} == want_specific
+
+    if jids and pids:
+        report = reuse_candidates(catalog)
+        minima, shared, clusters = oracle.reuse()
+        assert {j: m.members for j, m in report.rl_min.items()} == minima
+        assert report.shared_across_all.members == shared
+        assert {c.members.members for c in report.clusters} == clusters
+    else:
+        with pytest.raises(EmptyCatalogError):
+            reuse_candidates(catalog)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_per_axis_aggregates_match_a_scope_scan(name):
+    """The four aggregates against a scan of the document; an axis with no
+    entities has empty aggregates."""
+    doc = CATALOGS[name]
+    catalog = loads(doc.text())
+    for entities, scope_key, every, some in (
+        (
+            [p["id"] for p in doc.products],
+            "applies_to_products",
+            catalog.requirements_on_every_product,
+            catalog.requirements_on_some_product,
+        ),
+        (
+            [j["id"] for j in doc.jurisdictions],
+            "applies_to_jurisdictions",
+            catalog.requirements_in_every_jurisdiction,
+            catalog.requirements_in_some_jurisdiction,
+        ),
+    ):
+        covering = {
+            rid: set(entities) if req[scope_key] == "all" else set(req[scope_key]) & set(entities)
+            for rid, req in doc.requirements.items()
+        }
+        if entities:
+            assert every == {rid for rid, ids in covering.items() if ids == set(entities)}
+        else:
+            assert every == frozenset()
+        assert some == {rid for rid, ids in covering.items() if ids}

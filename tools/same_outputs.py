@@ -14,10 +14,11 @@ writes two sets of catalogs into a temporary directory:
 
 It then runs one fixed list of argv through `reqlattice.cli.main`, once
 per source tree, each side in its own subprocess. The list covers every
-command kind in text and `--json` form, unknown-id errors and usage
-errors. For every call it compares the exit code, stdout, stderr and the
-bytes of any `.dot` file written, with each side's output directory
-replaced by a placeholder. It prints the number of calls compared and
+command kind in text and `--json` form, every country and product view
+focus of the generated catalogs, unknown-id and empty-id errors, and
+usage errors. For every call it compares the exit code, stdout, stderr
+and the bytes of any `.dot` file written, with each side's output
+directory replaced by a placeholder. It prints the number of calls compared and
 every difference, and exits 1 if there is any.
 """
 
@@ -60,11 +61,9 @@ def _valid_calls(path: str, products: list[str], jurisdictions: list[str], regul
         ["optimize", path, "--global"],
     ]
     argvs += [["impact", path, "--regulation", r] for r in regulations[::step][:5]]
-    argvs += [
-        ["export", path, "--view", "country", "--focus", j0],
-        ["export", path, "--view", "product", "--focus", p1],
-        ["export", path, "--view", "global"],
-    ]
+    argvs += [["export", path, "--view", "country", "--focus", j] for j in jurisdictions]
+    argvs += [["export", path, "--view", "product", "--focus", p] for p in products]
+    argvs += [["export", path, "--view", "global"]]
     # Unknown ids and flag misuse.
     argvs += [
         ["sets", path, "--product", "NOPE"],
@@ -75,6 +74,16 @@ def _valid_calls(path: str, products: list[str], jurisdictions: list[str], regul
         ["impact", path, "--regulation", "NOPE"],
         ["export", path, "--view", "country", "--focus", "NOPE"],
         ["export", path, "--view", "global", "--focus", j0],
+    ]
+    # Empty-string selectors name no entity.
+    argvs += [
+        ["sets", path, "--product", ""],
+        ["sets", path, "--product", p0, "--jurisdiction", ""],
+        ["sets", path, "--jurisdiction", "", "--rl"],
+        ["sets", path, "--product", "", "--jurisdiction", j0, "--min"],
+        ["optimize", path, "--jurisdiction", ""],
+        ["optimize", path, "--product", ""],
+        ["export", path, "--view", "product", "--focus", ""],
     ]
     return _with_json(argvs)
 
