@@ -10,6 +10,7 @@ Set REQLATTICE_NO_COLOR to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -283,8 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process; it holds no catalog data
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CatalogInvalidError as refused:

@@ -10,6 +10,9 @@ written as the literal string "all" in place of an id array.
 `save` is canonical: fixed key order, arrays sorted by id, inner id lists
 sorted, 2-space indentation, trailing newline. Loading a saved catalog
 returns an equal catalog, and saving a loaded document canonicalises it.
+The text is written directly and equals `json.dumps(document, indent=2,
+ensure_ascii=False) + "\n"` of the catalog's plain-dict form; a field of a
+type the schema rejects raises TypeError instead of writing a bad file.
 
 Graph views (extension `.dot`, UTF-8, LF) render the architectural
 dependencies as digraph text:
@@ -31,6 +34,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from enum import Enum
 from dataclasses import dataclass
@@ -234,7 +238,9 @@ def loads(text: str | bytes) -> Catalog:
     """Parse and schema-check a catalog document.
 
     Semantic validation is separate: model.validate reports it, and
-    refinement.build_graph refuses catalogs that have errors.
+    refinement.build_graph refuses catalogs that have errors. The document
+    holds no reference cycles, so the call pauses the process-wide cyclic
+    collector and restores the state it found (enabled or disabled).
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -243,25 +249,31 @@ def loads(text: str | bytes) -> Catalog:
             raise ParseError(f"catalog is not valid UTF-8: {exc}") from exc
     else:
         _check_encodable(text)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        document = json.loads(text)
-        if "\\u" in text:  # only an escape can put a lone surrogate into a string
-            _check_encodable(json.dumps(document, ensure_ascii=False))
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ParseError("malformed catalog document: arrays or objects nested too deeply") from exc
+        try:
+            document = json.loads(text)
+            if "\\u" in text:  # only an escape can put a lone surrogate into a string
+                _check_encodable(json.dumps(document, ensure_ascii=False))
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise ParseError("malformed catalog document: arrays or objects nested too deeply") from exc
 
-    if not isinstance(document, dict):
-        raise SchemaError(f"top level: expected object, got {type(document).__name__}")
-    _check_keys(document, _TOP_KEYS, _TOP_KEYS, "top level")
-    version = document["version"]
-    if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
-        raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
-    # Collections are built in document order, so the first bad one is reported.
-    return Catalog(version, **{label: _entities(document[label], label) for label in _SHAPES})
+        if not isinstance(document, dict):
+            raise SchemaError(f"top level: expected object, got {type(document).__name__}")
+        _check_keys(document, _TOP_KEYS, _TOP_KEYS, "top level")
+        version = document["version"]
+        if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
+            raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
+        # Collections are built in document order, so the first bad one is reported.
+        return Catalog(version, **{label: _entities(document[label], label) for label in _SHAPES})
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load(source) -> Catalog:
@@ -277,42 +289,53 @@ def load(source) -> Catalog:
     return loads(source)
 
 
-def _scope_json(scope: Scope):
-    if scope is ALL:
-        return "all"
-    return sorted(scope)
+_str = json.encoder.encode_basestring  # the C encoder json.dumps uses per string
 
 
-def to_document(catalog: Catalog) -> dict:
-    """The canonical plain-dict form of a catalog (fixed key order, sorted arrays)."""
-    return {
-        "version": catalog.version,
-        "jurisdictions": [{"id": j.id, "name": j.name} for j in catalog.jurisdictions],
-        "regulations": [
-            {"id": r.id, "title": r.title, "jurisdictions": _scope_json(r.jurisdictions)}
-            for r in catalog.regulations
-        ],
-        "products": [{"id": p.id, "name": p.name} for p in catalog.products],
-        "requirements": [
-            {
-                "id": q.id,
-                "kind": q.kind.value,
-                "title": q.title,
-                "derived_from": sorted(q.derived_from),
-                "human_factors": sorted(q.human_factors),
-                "applies_to_products": _scope_json(q.applies_to_products),
-                "applies_to_jurisdictions": _scope_json(q.applies_to_jurisdictions),
-            }
-            for q in catalog.requirements
-        ],
-        "refinements": [
-            {"stronger": e.stronger, "weaker": e.weaker} for e in catalog.refinements
-        ],
-    }
+def _ids_text(ids) -> str:
+    ids = sorted(ids)
+    return "[\n        " + ",\n        ".join(map(_str, ids)) + "\n      ]" if ids else "[]"
+
+
+def _scope_text(scope: Scope) -> str:
+    return '"all"' if scope is ALL else _ids_text(scope)
+
+
+def _array_text(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 def dumps(catalog: Catalog) -> str:
-    return json.dumps(to_document(catalog), indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a catalog: `save` before UTF-8 encoding."""
+    jurisdictions, products = (
+        [f'    {{\n      "id": {_str(e.id)},\n      "name": {_str(e.name)}\n    }}' for e in entities]
+        for entities in (catalog.jurisdictions, catalog.products)
+    )
+    regulations = [
+        f'    {{\n      "id": {_str(r.id)},\n      "title": {_str(r.title)},\n'
+        f'      "jurisdictions": {_scope_text(r.jurisdictions)}\n    }}'
+        for r in catalog.regulations
+    ]
+    requirements = [
+        f'    {{\n      "id": {_str(q.id)},\n      "kind": {_str(q.kind.value)},\n'
+        f'      "title": {_str(q.title)},\n      "derived_from": {_ids_text(q.derived_from)},\n'
+        f'      "human_factors": {_ids_text(q.human_factors)},\n'
+        f'      "applies_to_products": {_scope_text(q.applies_to_products)},\n'
+        f'      "applies_to_jurisdictions": {_scope_text(q.applies_to_jurisdictions)}\n    }}'
+        for q in catalog.requirements
+    ]
+    refinements = [
+        f'    {{\n      "stronger": {_str(e.stronger)},\n      "weaker": {_str(e.weaker)}\n    }}'
+        for e in catalog.refinements
+    ]
+    return (
+        f'{{\n  "version": {json.dumps(catalog.version)},\n'
+        f'  "jurisdictions": {_array_text(jurisdictions)},\n'
+        f'  "regulations": {_array_text(regulations)},\n'
+        f'  "products": {_array_text(products)},\n'
+        f'  "requirements": {_array_text(requirements)},\n'
+        f'  "refinements": {_array_text(refinements)}\n}}\n'
+    )
 
 
 def save(catalog: Catalog) -> bytes:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from catgen import random_catalog
-from reqlattice import model
+from reqlattice import cli, model
 from reqlattice.algebra import requirements_for
 from reqlattice.cli import main
 from reqlattice.io import save_file
@@ -325,6 +325,33 @@ def test_usage_errors_from_argparse_exit_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+def test_one_parser_answers_a_sequence_of_calls_as_fresh_parsers_do(capsys, monkeypatch):
+    sequence = [
+        ["sets", PARTIAL, "--product", "P1"],
+        ["optimize", PARTIAL],  # argparse usage error: no scope
+        ["--json", "classify", PARTIAL],
+        ["impact", PARTIAL, "--regulation", "g"],
+        ["sets", PARTIAL, "--product", "P1", "--kind", "rl", "--json"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    shared = outcomes()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
 
 
 def test_json_outputs_are_single_documents_and_deterministic(capsys):

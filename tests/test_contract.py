@@ -2,9 +2,12 @@
 
 Fixture catalogs are mutated at the JSON level (strings replaced, values
 retyped, keys added or dropped, entries duplicated, text truncated) and
-run through every command with random flags. Whatever the input, the
-exit code is 0, 1 or 2, no exception escapes, exit 1 means the catalog
-has validation errors, and `--json` output is one UTF-8 JSON document.
+run through every command with random flags; most `export`, `sets`,
+`optimize` and `impact` calls are well formed, on catalogs that keep
+their shape, so their success paths are fuzzed too. Whatever the
+input, the exit code is 0, 1 or 2, no exception escapes, exit 1 means
+the catalog has validation errors, and `--json` output is one UTF-8 JSON
+document.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ def mutated_documents(draw, keep_shape=False):
     return doc, text
 
 
+# The commands that take selectors, which a call can get wrong.
+WELL_FORMED = ("export", "sets", "optimize", "impact")
+
+
 @st.composite
 def invocations(draw):
     # Hypothesis draws the first choice most often; export, the command with
@@ -132,9 +139,10 @@ def invocations(draw):
     command = draw(
         st.sampled_from(["export", "validate", "sets", "optimize", "classify", "impact"])
     )
-    # Most exports are well formed and run on a catalog that keeps its
-    # shape, so the views' success path is fuzzed too.
-    well_formed = command == "export" and draw(st.integers(0, 4)) > 0
+    # Most calls of the commands that take selectors are well formed, with
+    # ids from the catalog's own entity lists, and run on a catalog that
+    # keeps its shape, so their success path is fuzzed too.
+    well_formed = command in WELL_FORMED and draw(st.integers(0, 4)) > 0
     doc, text = draw(mutated_documents(keep_shape=well_formed))
     known = sorted(_ids(doc, set())) or ["x"]
     some_id = st.one_of(st.sampled_from(known), ID_TEXT)
@@ -142,7 +150,35 @@ def invocations(draw):
     def maybe(*flag):
         return list(flag) if draw(st.booleans()) else []
 
-    if command == "sets":
+    def entity(key):
+        return draw(st.sampled_from(_entity_ids(doc, key)))
+
+    if well_formed and command == "sets":
+        p, j, kind = entity("products"), entity("jurisdictions"), draw(st.sampled_from(["rl", "rfn"]))
+        flags = draw(
+            st.sampled_from(
+                [
+                    ["--product", p, "--jurisdiction", j],
+                    ["--product", p, "--jurisdiction", j, "--kind", kind],
+                    ["--product", p, "--kind", kind],
+                    ["--jurisdiction", j, "--rl"],
+                    ["--jurisdiction", j, "--min"],
+                ]
+            )
+        )
+    elif well_formed and command == "optimize":
+        flags = draw(
+            st.sampled_from(
+                [
+                    ["--jurisdiction", entity("jurisdictions")],
+                    ["--product", entity("products")],
+                    ["--global"],
+                ]
+            )
+        )
+    elif well_formed and command == "impact":
+        flags = ["--regulation", entity("regulations")]
+    elif command == "sets":
         flags = (
             maybe("--product", draw(some_id))
             + maybe("--jurisdiction", draw(some_id))
@@ -160,7 +196,7 @@ def invocations(draw):
         focus = {"country": "jurisdictions", "product": "products"}.get(view)
         flags = ["--view", view, "--out", "OUT"]
         if focus:
-            flags += ["--focus", draw(st.sampled_from(_entity_ids(doc, focus)))]
+            flags += ["--focus", entity(focus)]
     elif command == "export":
         flags = maybe("--view", draw(st.sampled_from(["country", "product", "global", "xx"])))
         flags += maybe("--focus", draw(some_id)) + maybe("--out", "OUT")

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import io as stdio
 import json
 import random
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgen import random_catalog
+from test_oracle_diff import catgen as bench_catgen  # bench/catgen.py, loaded read-only
 from reqlattice.errors import (
     FocusForbiddenError,
     FocusRequiredError,
@@ -447,6 +452,134 @@ def test_round_trip_on_random_catalogs_preserves_validation():
         loaded = loads(save(catalog))
         assert loaded == catalog
         assert validate(loaded) == validate(catalog)
+
+
+def _plain_dict(catalog: Catalog) -> dict:
+    """The canonical plain-dict form of a catalog, which `dumps` must write
+    byte for byte as `json.dumps(..., indent=2, ensure_ascii=False)` does."""
+
+    def scope(value):
+        return "all" if value is ALL else sorted(value)
+
+    return {
+        "version": catalog.version,
+        "jurisdictions": [{"id": j.id, "name": j.name} for j in catalog.jurisdictions],
+        "regulations": [
+            {"id": r.id, "title": r.title, "jurisdictions": scope(r.jurisdictions)}
+            for r in catalog.regulations
+        ],
+        "products": [{"id": p.id, "name": p.name} for p in catalog.products],
+        "requirements": [
+            {
+                "id": q.id,
+                "kind": q.kind.value,
+                "title": q.title,
+                "derived_from": sorted(q.derived_from),
+                "human_factors": sorted(q.human_factors),
+                "applies_to_products": scope(q.applies_to_products),
+                "applies_to_jurisdictions": scope(q.applies_to_jurisdictions),
+            }
+            for q in catalog.requirements
+        ],
+        "refinements": [{"stronger": e.stronger, "weaker": e.weaker} for e in catalog.refinements],
+    }
+
+
+def _assert_canonical(catalog: Catalog) -> None:
+    assert dumps(catalog) == json.dumps(_plain_dict(catalog), indent=2, ensure_ascii=False) + "\n"
+
+
+# Strings the encoder must escape (quote, backslash, C0 controls) or pass
+# through (DEL, U+2028, non-ASCII, non-BMP), plus `_` and "all" as ids.
+HOSTILE = st.lists(
+    st.sampled_from(['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u00e9", "\U0001F600", "_", "a", "all"]),
+    max_size=4,
+).map("".join)
+HOSTILE_IDS = st.frozensets(HOSTILE, max_size=3)
+HOSTILE_SCOPES = st.one_of(st.just(ALL), HOSTILE_IDS)
+HOSTILE_CATALOGS = st.builds(
+    Catalog,
+    jurisdictions=st.lists(st.builds(Jurisdiction, HOSTILE, HOSTILE), max_size=3),
+    regulations=st.lists(st.builds(Regulation, HOSTILE, HOSTILE, HOSTILE_SCOPES), max_size=3),
+    products=st.lists(st.builds(Product, HOSTILE, HOSTILE), max_size=3),
+    requirements=st.lists(
+        st.builds(
+            Requirement,
+            HOSTILE,
+            st.sampled_from(Kind),
+            HOSTILE,
+            HOSTILE_IDS,
+            HOSTILE_IDS,
+            HOSTILE_SCOPES,
+            HOSTILE_SCOPES,
+        ),
+        max_size=3,
+    ),
+    refinements=st.lists(st.builds(RefinementEdge, HOSTILE, HOSTILE), max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(catalog=HOSTILE_CATALOGS)
+def test_dumps_is_json_dumps_of_the_plain_dict_form(catalog):
+    _assert_canonical(catalog)
+
+
+def test_dumps_is_json_dumps_on_fixtures_and_generated_catalogs():
+    texts = [path.read_bytes() for path in sorted(DATA.glob("*.reqcat.json"))]
+    texts.remove((DATA / "malformed.reqcat.json").read_bytes())
+    texts += [
+        bench_catgen.generate(shape, seed).text()
+        for shape in bench_catgen.TINY.values()
+        for seed in (11, 12)
+    ]
+    for text in texts:
+        _assert_canonical(loads(text))
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [
+        Catalog(jurisdictions=[Jurisdiction(1)]),
+        Catalog(regulations=[Regulation("g", title=None)]),
+        Catalog(requirements=[Requirement("r", Kind.RFN, human_factors={1})]),
+        Catalog(refinements=[RefinementEdge("a", ("b",))]),
+    ],
+)
+def test_dumps_refuses_values_the_schema_rejects(catalog):
+    with pytest.raises(TypeError):
+        dumps(catalog)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, error",
+    [(MINIMAL, None), ('{"version": ', ParseError), ('{"version": 2}', SchemaError)],
+    ids=["ok", "parse-error", "schema-error"],
+)
+def test_loads_restores_the_collector_state_it_found(text, error, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(error) if error else nullcontext():
+            loads(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+LOADABLE = sorted(set(DATA.glob("*.reqcat.json")) - {DATA / "malformed.reqcat.json"})
+
+
+@pytest.mark.parametrize("path", LOADABLE, ids=lambda path: path.name)
+def test_loads_leaves_no_cyclic_garbage(path):
+    """`loads` pauses the collector on the premise that neither the parsed
+    document nor the catalog holds a reference cycle: once the catalog is
+    dropped, a collection finds nothing left to free."""
+    data = path.read_bytes()
+    gc.collect()
+    loads(data)
+    assert gc.collect() == 0
 
 
 def test_country_view_matches_hand_authored_golden_file():

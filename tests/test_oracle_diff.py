@@ -4,7 +4,9 @@
 the plain JSON document and shares no code with `reqlattice`. Both it and
 `bench/catgen.py` are loaded read-only from `bench/`. Each catalog is a
 seeded `catgen.TINY` shape or a corner derived from one: one
-jurisdiction, zero products, zero jurisdictions, or every scope `"all"`.
+jurisdiction, zero products, zero jurisdictions, every scope `"all"`, or
+each regulation in one jurisdiction (disjoint regulation sets, which
+raise coverage and implication warnings).
 Every answer goes through `cli.main --json` in process, except the
 partitions and the reuse report, which have no command and are checked
 through the library.
@@ -106,6 +108,12 @@ def _catalogs():
     out["zero-products"] = _restricted(base, jids, [])
     out["zero-jurisdictions"] = _restricted(base, [], pids)
     out["all-scopes"] = _all_scoped(base)
+    out["disjoint-regulations"] = dataclasses.replace(
+        base,
+        regulations=[
+            {**r, "jurisdictions": [jids[i % len(jids)]]} for i, r in enumerate(base.regulations)
+        ],
+    )
     return out
 
 
@@ -137,6 +145,29 @@ def _ids(payload):
     return payload["ids"]
 
 
+def _check_warnings(doc, oracle, warnings):
+    """Every warning of `validate --json` is explained: `RL_COVERAGE` is the
+    oracle's coverage list, `EMPTY_SCOPE` names each requirement with an
+    empty scope, and `IMPLICATION_VIOLATED` names, when the regulation sets
+    are disjoint, each product with a general RL part."""
+    by_code = {}
+    for warning in warnings:
+        by_code.setdefault(warning["code"], []).append(warning["ids"])
+    assert by_code.pop("RL_COVERAGE", []) == [ids for _, ids in oracle.coverage_warnings()]
+    empty = [
+        [rid]
+        for rid, req in sorted(doc.requirements.items())
+        if [] in (req["applies_to_products"], req["applies_to_jurisdictions"])
+    ]
+    assert by_code.pop("EMPTY_SCOPE", []) == empty
+    implied = []
+    if oracle.jids and oracle.classify()["case"] == "DISJOINT":
+        general = {p: oracle.partition(p, "RL")[0] for p in oracle.pids}
+        implied = [[p, *sorted(general[p])] for p in oracle.pids if general[p]]
+    assert by_code.pop("IMPLICATION_VIOLATED", []) == implied
+    assert by_code == {}
+
+
 @pytest.mark.parametrize("name", sorted(CATALOGS))
 def test_cli_answers_match_the_oracle(name, tmp_path):
     doc = CATALOGS[name]
@@ -146,7 +177,9 @@ def test_cli_answers_match_the_oracle(name, tmp_path):
     oracle = Oracle(doc)
     jids, pids = oracle.jids, oracle.pids
 
-    assert _answer(["validate", cat])["ok"]
+    report = _answer(["validate", cat])
+    assert report["ok"]
+    _check_warnings(doc, oracle, report["warnings"])
     for j in jids:
         for p in pids:
             for kind, flag in KINDS.items():

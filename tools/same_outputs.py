@@ -18,8 +18,16 @@ command kind in text and `--json` form, every country and product view
 focus of the generated catalogs, unknown-id and empty-id errors, and
 usage errors. For every call it compares the exit code, stdout, stderr
 and the bytes of any `.dot` file written, with each side's output
-directory replaced by a placeholder. It prints the number of calls compared and
-every difference, and exits 1 if there is any.
+directory replaced by a placeholder.
+
+It also compares saved bytes: `io.save(io.loads(text))` of every
+generated catalog, fixture and hostile catalog that loads, and the save
+of one in-memory edit per generated catalog, a requirement added with
+`dataclasses.replace` whose title and ids hold quotes, backslashes,
+control characters, U+2028, non-ASCII and non-BMP text.
+
+It prints the number of calls and saves compared and every difference,
+and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -152,17 +160,20 @@ def _mutate(rng: random.Random, document) -> tuple[object, str]:
     return doc, text
 
 
-def _write_catalogs(work: Path) -> list[list[str]]:
-    """Write every catalog under `work` and return the argv list."""
+def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list]]:
+    """Write every catalog under `work`; return the argv list and the
+    [path, edit] pairs to save, `edit` true for the generated catalogs."""
     sys.path.insert(0, str(ROOT / "bench"))
     import catgen
 
     calls: list[list[str]] = []
+    saves: list[list] = []
     for shape in SHAPES:
         for seed in SEEDS:
             doc = catgen.generate(catgen.SHAPES[shape], seed)
             path = work / f"{shape}-{seed}.reqcat.json"
             path.write_text(doc.text(), encoding="utf-8")
+            saves.append([str(path), True])
             calls += _valid_calls(
                 str(path),
                 [p["id"] for p in doc.products],
@@ -178,21 +189,54 @@ def _write_catalogs(work: Path) -> list[list[str]]:
             document = None  # the malformed fixture joins only as it is
         else:
             documents.append(document)
+            saves.append([str(fixture), False])
         calls += _hostile_calls(str(fixture), document)
     rng = random.Random(20151)
     for i in range(HOSTILE):
         doc, text = _mutate(rng, rng.choice(documents))
         path = work / f"hostile-{i:03d}.reqcat.json"
         path.write_text(text, encoding="utf-8")
+        saves.append([str(path), False])
         calls += _hostile_calls(str(path), doc)
     for i, argv in enumerate(calls):
         if argv[0] == "export":
             argv += ["--out", f"{OUT}/view-{i}.dot"]
-    return calls
+    return calls, saves
+
+
+HOSTILE_TEXT = 'q"\\\x00\x1f\x7f\u2028\u00e9\U0001F600_'
+
+
+def _saved(path: str, edit: bool) -> list[str]:
+    """The saved text of the catalog at `path`, and of its edit, or the
+    error that refused it."""
+    import dataclasses
+
+    from reqlattice import io as catalog_io
+    from reqlattice import model
+    from reqlattice.errors import ParseError, SchemaError
+
+    try:
+        catalog = catalog_io.loads(Path(path).read_bytes())
+    except (ParseError, SchemaError) as exc:
+        return [f"refused {type(exc).__name__}: {exc}"]
+    out = [catalog_io.save(catalog).decode("utf-8")]
+    if edit:
+        added = model.Requirement(
+            "r" + HOSTILE_TEXT,
+            model.Kind.RL,
+            title=HOSTILE_TEXT,
+            derived_from={catalog.regulations[0].id, HOSTILE_TEXT},
+            applies_to_products={HOSTILE_TEXT, "\u2028"},
+        )
+        edited = dataclasses.replace(catalog, requirements=(*catalog.requirements, added))
+        out.append(catalog_io.save(edited).decode("utf-8"))
+    return out
 
 
 def _worker(src: str, out_dir: str, calls_path: str, results_path: str) -> None:
-    """Run every call through `cli.main` in this process and write the results."""
+    """Run every call through `cli.main` in this process, save every
+    catalog listed for it, and write the results."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -200,7 +244,8 @@ def _worker(src: str, out_dir: str, calls_path: str, results_path: str) -> None:
     from reqlattice.cli import main
 
     results = []
-    for argv in json.loads(Path(calls_path).read_text(encoding="utf-8")):
+    calls, saves = json.loads(Path(calls_path).read_text(encoding="utf-8"))
+    for argv in calls:
         argv = [arg.replace(OUT, out_dir) for arg in argv]
         out, err = io.BytesIO(), io.BytesIO()
         # Strict UTF-8 stdout, as a UTF-8 locale gives; stderr escapes.
@@ -230,7 +275,8 @@ def _worker(src: str, out_dir: str, calls_path: str, results_path: str) -> None:
                 ),
             ]
         )
-    Path(results_path).write_text(json.dumps(results), encoding="utf-8")
+    saved = [_saved(path, edit) for path, edit in saves]
+    Path(results_path).write_text(json.dumps([results, saved]), encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -240,9 +286,9 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
-        calls = _write_catalogs(work)
+        calls, saves = _write_catalogs(work)
         calls_path = work / "calls.json"
-        calls_path.write_text(json.dumps(calls), encoding="utf-8")
+        calls_path.write_text(json.dumps([calls, saves]), encoding="utf-8")
         sides = []
         for name, src in zip(("parent", "change"), argv):
             out_dir = work / name
@@ -259,7 +305,9 @@ def main(argv: list[str]) -> int:
             if process.wait() != 0:
                 print(f"error: a worker exited with {process.returncode}", file=sys.stderr)
                 return 2
-        parent, change = (json.loads(results.read_text(encoding="utf-8")) for _, results in sides)
+        (parent, parent_saved), (change, change_saved) = (
+            json.loads(results.read_text(encoding="utf-8")) for _, results in sides
+        )
     differences = 0
     for argv, a, b in zip(calls, parent, change):
         for field, x, y in zip(("exit code", "stdout", "stderr", ".dot"), a, b):
@@ -267,9 +315,22 @@ def main(argv: list[str]) -> int:
                 differences += 1
                 print(f"DIFFERENT {field}: {argv!a}")
                 print(f"  parent: {str(x)[:300]!a}\n  change: {str(y)[:300]!a}")
+    for (path, _), a, b in zip(saves, parent_saved, change_saved):
+        for field, x, y in zip(("saved bytes", "saved edit"), a, b):
+            if x != y:
+                differences += 1
+                at = next((i for i, (c, d) in enumerate(zip(x, y)) if c != d), min(len(x), len(y)))
+                print(f"DIFFERENT {field}: {Path(path).name}, from character {at}")
+                print(f"  parent: {x[at:at + 300]!a}\n  change: {y[at:at + 300]!a}")
     exits = Counter(str(result[0]) for result in parent)
     tally = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
-    print(f"compared {len(calls)} calls ({tally} at the parent): {differences} difference(s)")
+    loaded = sum(not result[0].startswith("refused ") for result in parent_saved)
+    edits = sum(len(result) == 2 for result in parent_saved)
+    print(
+        f"compared {len(calls)} calls ({tally} at the parent) and "
+        f"{loaded + edits} saves ({loaded} loaded catalogs, {edits} edits): "
+        f"{differences} difference(s)"
+    )
     return 1 if differences else 0
 
 
