@@ -26,16 +26,7 @@ from .algebra import (
     rl_min,
 )
 from .analysis import change_impact, classify_overlap, consistency_diagnostics
-from .errors import (
-    CatalogInvalidError,
-    EmptyCatalogError,
-    FocusForbiddenError,
-    FocusRequiredError,
-    ParseError,
-    ReqlatticeError,
-    SchemaError,
-    UnknownIdError,
-)
+from .errors import CatalogInvalidError, ReqlatticeError
 from .model import Catalog, Issue, Kind, Severity, validate
 from .refinement import RefinementGraph, build_graph, optimize, witnesses
 
@@ -48,19 +39,21 @@ class UnknownFlagCombo(ReqlatticeError):
     """Selector flags do not pick exactly one construct."""
 
 
-def _style(text: str, sgr: str) -> str:
-    if os.environ.get("REQLATTICE_NO_COLOR") or not sys.stdout.isatty():
+def _style(text: str, sgr: str, stream) -> str:
+    """`text` in colour when `stream`, the stream it goes to, is a terminal."""
+    if os.environ.get("REQLATTICE_NO_COLOR") or not stream.isatty():
         return text
     return f"\x1b[{sgr}m{text}\x1b[0m"
 
 
-def _severity_text(severity: Severity) -> str:
-    return _style(severity.value, "31" if severity is Severity.ERROR else "33")
+def _severity_text(severity: Severity, stream) -> str:
+    return _style(severity.value, "31" if severity is Severity.ERROR else "33", stream)
 
 
 def _print_issue(issue: Issue, stream) -> None:
     ids = " [" + ", ".join(issue.ids) + "]" if issue.ids else ""
-    print(f"{_severity_text(issue.severity)} {issue.code}: {issue.message}{ids}", file=stream)
+    severity = _severity_text(issue.severity, stream)
+    print(f"{severity} {issue.code}: {issue.message}{ids}", file=stream)
 
 
 def _issue_json(issue: Issue) -> dict:
@@ -296,18 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_issue(issue, sys.stderr)
         print("refusing to analyse a catalog with validation errors", file=sys.stderr)
         return EXIT_INVALID
-    except (
-        ParseError,
-        SchemaError,
-        UnknownIdError,
-        EmptyCatalogError,
-        FocusRequiredError,
-        FocusForbiddenError,
-        UnknownFlagCombo,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ReqlatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

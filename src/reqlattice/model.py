@@ -12,11 +12,11 @@ carries zero errors.
 
 from __future__ import annotations
 
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class AllScope:
@@ -71,6 +71,18 @@ def _fold(combine, by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
     """Combine a map's values with `frozenset.intersection` or `.union`;
     a map with no entities folds to the empty set."""
     return combine(*by_entity.values()) if by_entity else frozenset()
+
+
+def _adjacency(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, frozenset[str]]:
+    """Map each node to its direct weaker versions. Only the distinct edges
+    between two different members of `nodes` are kept."""
+    children: dict[str, set[str]] = {node: set() for node in nodes}
+    for stronger, weaker in edges:
+        if stronger != weaker and stronger in children and weaker in children:
+            children[stronger].add(weaker)
+    return {node: frozenset(below) for node, below in children.items()}
 
 
 def _is_scope(value) -> bool:
@@ -219,14 +231,17 @@ class Catalog:
         return out
 
     @cached_property
-    def regulations_by_id(self) -> dict[str, Regulation]:
-        out: dict[str, Regulation] = {}
-        for reg in self.regulations:
-            out.setdefault(reg.id, reg)
-        return out
+    def refinement_children(self) -> dict[str, frozenset[str]]:
+        """The one index of the refinement edges: every requirement id mapped
+        to its direct weaker versions.  `validate` checks it for cycles and
+        `refinement.build_graph` hands it to the graph as it is."""
+        pairs = ((e.stronger, e.weaker) for e in self.refinements)
+        return _adjacency(self.requirement_ids, pairs)
 
-    # Scope expansion happens here and nowhere else: each map is built on
-    # first use, and `algebra` intersects and unites its values.  Beside the
+    # The scope maps are built here on first use, and `algebra` intersects
+    # and unites their values.  Two readers expand scopes themselves:
+    # `validate`'s RL coverage check, and `analysis.change_impact`, which
+    # expands only the affected requirements' product scopes.  Beside the
     # maps sit four per-axis aggregates, each folded from its map once: the
     # requirements on every product, on some product, in every jurisdiction
     # and in some jurisdiction.  An axis with no entities has empty
@@ -365,98 +380,73 @@ def _kind_problems(req: Requirement) -> list[str]:
     return problems
 
 
-def _cycle_components(edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+def _cycle_components(children: Mapping[str, frozenset[str]]) -> list[list[str]]:
     """Strongly connected components of size >= 2, each sorted, in sorted order.
 
-    The package's one cycle detector: `validate` reports its components,
-    and `RefinementGraph.from_edges` refuses edge sets that have any.
-    Nodes on no edge never enter. Kahn's peel first drops, over and over,
-    every node with no incoming edge left, since no cycle passes through
-    it; iterative Tarjan then runs on what remains, which is nothing for
-    an acyclic edge set.
+    The package's one cycle detector, over an index that maps every node to
+    its children (as `_adjacency` builds it): `validate` reports its
+    components, and `RefinementGraph.from_edges` refuses edge sets that
+    have any. Kahn's peel first drops, over and over, every node with no
+    incoming edge left, since no cycle passes through it; iterative Tarjan
+    then runs on what remains, which is nothing for an acyclic edge set.
+    A node left with an incoming edge has only such nodes as children.
     """
-    successors: dict[str, list[str]] = {}
-    indegree: dict[str, int] = {}
-    for stronger, weaker in edges:
-        successors.setdefault(stronger, []).append(weaker)
-        indegree[weaker] = indegree.get(weaker, 0) + 1
-    ready = [node for node in successors if node not in indegree]
+    indegree = Counter(child for below in children.values() for child in below)
+    ready = [node for node in children if node not in indegree]
     while ready:
-        for child in successors.get(ready.pop(), ()):
+        for child in children[ready.pop()]:
             indegree[child] -= 1
             if not indegree[child]:
                 ready.append(child)
-    # A node left with an incoming edge has only such nodes as children.
-    adjacency = {
-        node: sorted(successors.get(node, ())) for node, count in indegree.items() if count
-    }
 
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = 0
     components: list[list[str]] = []
+    work: list[tuple[str, Iterator[str]]] = []  # (node, its children not yet tried)
 
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
+    def enter(node: str) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(children[node])))
+
+    for root, count in indegree.items():
+        if count and root not in index:
+            enter(root)
         while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = adjacency[node]
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
+            node, pending = work[-1]
+            for child in pending:
                 if child not in index:
-                    work.append((node, child_pos))
-                    work.append((child, 0))
-                    advanced = True
+                    enter(child)
                     break
                 if child in on_stack:
                     lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1:
+                        components.append(sorted(component))
     return sorted(components)
 
 
 def _check_edges(
     edges: tuple[RefinementEdge, ...], requirement_ids: frozenset[str], issues: list[Issue]
-) -> set[tuple[str, str]]:
-    """The distinct edges between two known, different requirements; the
-    rest are reported."""
-    stronger = [edge.stronger for edge in edges]
-    weaker = [edge.weaker for edge in edges]
-    usable = set(zip(stronger, weaker))
-    if (
-        len(usable) == len(edges)
-        and requirement_ids.issuperset(stronger)
-        and requirement_ids.issuperset(weaker)
-        and not any(map(operator.eq, stronger, weaker))
-    ):
-        return usable
+) -> None:
+    """Report every duplicated, self-looped or dangling edge."""
     seen_edges: set[tuple[str, str]] = set()
     flagged_edges: set[tuple[str, str]] = set()
-    usable = set()
     for edge in edges:
         pair = (edge.stronger, edge.weaker)
         if pair in seen_edges:
@@ -472,8 +462,7 @@ def _check_edges(
                 _error(SELF_EDGE, f"refinement self-edge on {edge.stronger}", (edge.stronger,))
             )
             continue
-        broken = False
-        for endpoint in (edge.stronger, edge.weaker):
+        for endpoint in pair:
             if endpoint not in requirement_ids:
                 issues.append(
                     _error(
@@ -483,10 +472,6 @@ def _check_edges(
                         (endpoint, pair[0], pair[1]),
                     )
                 )
-                broken = True
-        if not broken:
-            usable.add(pair)
-    return usable
 
 
 def validate(catalog: Catalog) -> ValidationReport:
@@ -538,9 +523,12 @@ def validate(catalog: Catalog) -> ValidationReport:
                 _warning(EMPTY_SCOPE, f"requirement {req.id} has an empty scope", (req.id,))
             )
 
-    usable_edges = _check_edges(catalog.refinements, requirement_ids, errors)
+    children = catalog.refinement_children
+    # The index keeps every edge only if none is duplicated, self-looped or dangling.
+    if sum(map(len, children.values())) != len(catalog.refinements):
+        _check_edges(catalog.refinements, requirement_ids, errors)
 
-    for component in _cycle_components(usable_edges):
+    for component in _cycle_components(children):
         errors.append(
             _error(
                 CYCLE,
@@ -549,10 +537,9 @@ def validate(catalog: Catalog) -> ValidationReport:
             )
         )
 
-    covers = {
-        reg_id: expand_scope(reg.jurisdictions, jurisdiction_ids)
-        for reg_id, reg in catalog.regulations_by_id.items()
-    }
+    covers: dict[str, frozenset[str]] = {}
+    for reg in catalog.regulations:
+        covers.setdefault(reg.id, expand_scope(reg.jurisdictions, jurisdiction_ids))
     for req in catalog.requirements:
         if req.kind is not Kind.RL:
             continue

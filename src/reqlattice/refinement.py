@@ -7,8 +7,9 @@ over declared edges, not just a direct edge. The edge set is acyclic
 (validation rejects cycles), so reachability is a strict partial order and
 "strongest" is well defined.
 
-The graph keeps the declared edges only; reachability is never
-materialised for the whole graph. Each question walks the edges it needs:
+The graph reads the catalog's one index of the declared edges
+(`Catalog.refinement_children`); reachability is never materialised for
+the whole graph. Each question walks the edges it needs:
 
 * `optimize` walks once from the direct children of every input member.
   Everything reached is dominated, and the strongest set is the input
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping
 from . import algebra
 from .algebra import RequirementSet
 from .errors import CatalogInvalidError, UnknownIdError
-from .model import Catalog, _cycle_components, validate
+from .model import Catalog, _adjacency, _cycle_components, validate
 
 
 def _descend(
@@ -59,15 +60,6 @@ def _descend(
                     reached.append(child)
                     stack.append(child)
     return reached
-
-
-def _adjacency(
-    nodes: frozenset[str], edges: Iterable[tuple[str, str]]
-) -> dict[str, frozenset[str]]:
-    children: dict[str, set[str]] = {n: set() for n in nodes}
-    for stronger, weaker in edges:
-        children[stronger].add(weaker)
-    return {n: frozenset(c) for n, c in children.items()}
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,10 @@ class RefinementGraph:
         for stronger, weaker in edge_set:
             if stronger not in node_set or weaker not in node_set:
                 raise ValueError(f"edge endpoint outside node set: {stronger} -> {weaker}")
-        if any(a == b for a, b in edge_set) or _cycle_components(edge_set):
+        direct = _adjacency(node_set, edge_set)
+        if any(a == b for a, b in edge_set) or _cycle_components(direct):
             raise ValueError("refinement edges contain a cycle")
-        return cls(nodes=node_set, direct=_adjacency(node_set, edge_set))
+        return cls(nodes=node_set, direct=direct)
 
     def descendants(self, requirement_id: str) -> frozenset[str]:
         """Every requirement weaker than `requirement_id` (reachable from it)."""
@@ -127,8 +120,9 @@ def build_graph(catalog: Catalog) -> RefinementGraph:
 
     This is the one place analyses validate: on validation errors it
     raises CatalogInvalidError carrying the ValidationReport, because
-    reachability over broken or cyclic edges is undefined. Nothing is
-    precomputed beyond the direct edges.
+    reachability over broken or cyclic edges is undefined. The graph's
+    direct edges are the catalog's own edge index, which `validate` has
+    already built; nothing else is precomputed.
     """
     report = validate(catalog)
     if not report.ok:
@@ -137,11 +131,7 @@ def build_graph(catalog: Catalog) -> RefinementGraph:
             + "; ".join(issue.code for issue in report.errors),
             report,
         )
-    nodes = catalog.requirement_ids
-    return RefinementGraph(
-        nodes=nodes,
-        direct=_adjacency(nodes, ((e.stronger, e.weaker) for e in catalog.refinements)),
-    )
+    return RefinementGraph(nodes=catalog.requirement_ids, direct=catalog.refinement_children)
 
 
 def is_weaker(graph: RefinementGraph, a: str, b: str) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ from catgen import random_catalog
 from reqlattice import cli, model
 from reqlattice.algebra import requirements_for
 from reqlattice.cli import main
+from reqlattice.errors import ReqlatticeError
 from reqlattice.io import save_file
 
 DATA = Path(__file__).parent / "data"
@@ -296,15 +298,37 @@ def test_json_flag_works_before_and_after_the_subcommand(capsys):
 def test_color_styling_respects_tty_and_env(monkeypatch):
     from reqlattice.cli import _style
 
-    class FakeTty:
+    class FakeTty(io.StringIO):
         def isatty(self):
             return True
 
     monkeypatch.setattr("sys.stdout", FakeTty())
     monkeypatch.delenv("REQLATTICE_NO_COLOR", raising=False)
-    assert _style("ERROR", "31") == "\x1b[31mERROR\x1b[0m"
+    assert _style("ERROR", "31", sys.stdout) == "\x1b[31mERROR\x1b[0m"
+
+    # The refused catalog's issue lines go to stderr, so stderr decides.
+    for stdout, stderr in ((FakeTty(), io.StringIO()), (io.StringIO(), FakeTty())):
+        monkeypatch.setattr("sys.stdout", stdout)
+        monkeypatch.setattr("sys.stderr", stderr)
+        assert main(["optimize", CYCLE, "--global"]) == 1
+        assert stdout.getvalue() == ""
+        err = stderr.getvalue()
+        assert err.startswith("\x1b[31mERROR\x1b[0m CYCLE: " if stderr.isatty() else "ERROR CYCLE: ")
+        assert ("\x1b[" in err) == stderr.isatty()
+
     monkeypatch.setenv("REQLATTICE_NO_COLOR", "1")
-    assert _style("ERROR", "31") == "ERROR"
+    assert _style("ERROR", "31", FakeTty()) == "ERROR"
+
+
+def test_every_library_error_exits_two(capsys, monkeypatch):
+    class NewLibraryError(ReqlatticeError):
+        """An error class that `cli.main` does not name."""
+
+    def failing(catalog):
+        raise NewLibraryError("no overlap today")
+
+    monkeypatch.setattr(cli, "classify_overlap", failing)
+    assert run(capsys, "classify", PARTIAL) == (2, "", "error: no overlap today\n")
 
 
 def test_export_json_reports_counts(capsys, tmp_path):
@@ -405,6 +429,32 @@ def test_every_command_validates_exactly_once(capsys, monkeypatch, tmp_path):
         main(argv)
         capsys.readouterr()
         assert len(calls) == 1, argv
+
+
+def test_every_command_indexes_the_refinement_edges_exactly_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = model._adjacency
+
+    def counting_adjacency(nodes, edges):
+        calls.append(nodes)
+        return original(nodes, edges)
+
+    monkeypatch.setattr(model, "_adjacency", counting_adjacency)
+    out = str(tmp_path / "view.dot")
+    for catalog in (PARTIAL, CYCLE):
+        for argv in (
+            ["validate", catalog],
+            ["sets", catalog, "--product", "P1", "--json"],
+            ["optimize", catalog, "--global"],
+            ["classify", catalog],
+            ["impact", catalog, "--regulation", "g"],
+            ["export", catalog, "--view", "global", "--out", out],
+        ):
+            calls.clear()
+            code = main(argv)
+            capsys.readouterr()
+            assert code == (0 if catalog == PARTIAL else 1), argv
+            assert len(calls) == 1, argv
 
 
 def test_export_global_view_with_colliding_joined_ids_exits_zero(capsys, tmp_path):

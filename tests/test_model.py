@@ -26,6 +26,7 @@ from reqlattice.model import (
     Regulation,
     Requirement,
     Severity,
+    _adjacency,
     _cycle_components,
     expand_scope,
     validate,
@@ -135,6 +136,27 @@ def test_edge_problems_reported():
     )
     report = validate(catalog)
     assert sorted(codes(report.errors)) == [DUP_EDGE, SELF_EDGE, UNKNOWN_REF]
+
+
+def test_edge_index_keeps_distinct_known_edges_and_cycles_among_them_are_reported():
+    catalog = Catalog(
+        requirements=[rfn("r1"), rfn("r2"), rfn("r3")],
+        refinements=[
+            RefinementEdge("r1", "r2"),
+            RefinementEdge("r1", "r2"),
+            RefinementEdge("r2", "r1"),
+            RefinementEdge("r3", "r3"),
+            RefinementEdge("r3", "zz"),
+        ],
+    )
+    assert catalog.refinement_children == {
+        "r1": frozenset({"r2"}),
+        "r2": frozenset({"r1"}),
+        "r3": frozenset(),
+    }
+    report = validate(catalog)
+    assert sorted(codes(report.errors)) == [CYCLE, DUP_EDGE, SELF_EDGE, UNKNOWN_REF]
+    assert report.errors[0].ids == ("r1", "r2")
 
 
 def test_empty_ids_and_empty_regulation_scope():
@@ -286,7 +308,15 @@ def test_cycle_components_match_brute_force_strong_components():
             nodes, edges = _graph_with_cycles(rng)
         else:
             nodes, edges = random_digraph(rng, max_nodes=9, edge_prob=rng.uniform(0.05, 0.3))
-        assert _cycle_components(edges) == _brute_force_cycles(nodes, edges), (nodes, edges)
+        want = _brute_force_cycles(nodes, edges)
+        assert _cycle_components(_adjacency(nodes, edges)) == want, (nodes, edges)
+
+
+def test_cycle_detector_walks_a_long_cycle_and_chain_without_recursion():
+    nodes = [f"r{i:05d}" for i in range(20_000)]
+    ring = list(zip(nodes, nodes[1:] + nodes[:1]))
+    assert _cycle_components(_adjacency(nodes, ring)) == [nodes]
+    assert _cycle_components(_adjacency(nodes, ring[:-1])) == []
 
 
 def test_cycle_fixture_reports_the_same_cycle_issue():

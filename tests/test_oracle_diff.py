@@ -4,9 +4,12 @@
 the plain JSON document and shares no code with `reqlattice`. Both it and
 `bench/catgen.py` are loaded read-only from `bench/`. Each catalog is a
 seeded `catgen.TINY` shape or a corner derived from one: one
-jurisdiction, zero products, zero jurisdictions, every scope `"all"`, or
+jurisdiction, zero products, zero jurisdictions, every scope `"all"`,
 each regulation in one jurisdiction (disjoint regulation sets, which
-raise coverage and implication warnings).
+raise coverage and implication warnings), jurisdiction and product ids
+that contain `_` and `__` (among them the pairs whose joined global-view
+node ids once collided), or some requirements with an explicit empty
+product or jurisdiction scope (which raise `EMPTY_SCOPE`).
 Every answer goes through `cli.main --json` in process, except the
 partitions and the reuse report, which have no command and are checked
 through the library.
@@ -95,6 +98,39 @@ def _all_scoped(doc):
     )
 
 
+def _renamed(doc, names):
+    """`doc` with its jurisdiction and product ids renamed through `names`."""
+
+    def scope(value):
+        return value if value == "all" else sorted(names[i] for i in value)
+
+    scopes = ("applies_to_jurisdictions", "applies_to_products")
+    return dataclasses.replace(
+        doc,
+        jurisdictions=[{**j, "id": names[j["id"]]} for j in doc.jurisdictions],
+        regulations=[{**r, "jurisdictions": scope(r["jurisdictions"])} for r in doc.regulations],
+        products=[{**p, "id": names[p["id"]]} for p in doc.products],
+        requirements={
+            rid: {**req, **{key: scope(req[key]) for key in scopes}}
+            for rid, req in doc.requirements.items()
+        },
+    )
+
+
+def _with_empty_scopes(doc):
+    """Every 7th requirement gets an empty product scope, every 5th an
+    empty jurisdiction scope (every 35th both)."""
+    requirements = {}
+    for i, (rid, req) in enumerate(sorted(doc.requirements.items())):
+        req = dict(req)
+        if i % 7 == 3:
+            req["applies_to_products"] = []
+        if i % 5 == 1:
+            req["applies_to_jurisdictions"] = []
+        requirements[rid] = req
+    return dataclasses.replace(doc, requirements=requirements)
+
+
 def _catalogs():
     out = {
         f"{shape}-{seed}": catgen.generate(catgen.TINY[shape], seed)
@@ -114,6 +150,14 @@ def _catalogs():
             {**r, "jurisdictions": [jids[i % len(jids)]]} for i, r in enumerate(base.regulations)
         ],
     )
+    out["underscore-ids"] = _renamed(
+        base,
+        {
+            **dict(zip(jids, ["C2", "C1__C2", "C_3", "_"])),
+            **dict(zip(pids, ["x", "x__C1", "x_", "__"])),
+        },
+    )
+    out["empty-scopes"] = _with_empty_scopes(base)
     return out
 
 

@@ -121,6 +121,16 @@ def test_build_graph_covers_isolated_requirements():
     assert not is_weaker(graph, "r2", "r1")
 
 
+def test_build_graph_reads_the_catalogs_one_edge_index():
+    catalog = Catalog(
+        requirements=[Requirement(r, Kind.RFN) for r in ("r1", "r2", "r3")],
+        refinements=[RefinementEdge("r1", "r2"), RefinementEdge("r1", "r3")],
+    )
+    graph = build_graph(catalog)
+    assert graph.direct is catalog.refinement_children
+    assert graph.direct == {"r1": {"r2", "r3"}, "r2": frozenset(), "r3": frozenset()}
+
+
 def test_is_weaker_is_irreflexive_transitive_and_checks_ids():
     assert not is_weaker(CHAIN, "a", "a")
     assert is_weaker(CHAIN, "c", "a")

@@ -11,6 +11,12 @@ writes two sets of catalogs into a temporary directory:
 * a few hundred hostile catalogs: the `tests/data` fixtures mutated with
   a seeded RNG (strings renamed, values retyped, keys dropped or added,
   entries duplicated, ids reused, text truncated, lone surrogates).
+* six edge-hostile variants of each generated catalog, one per way the
+  refinement edges can go wrong: a duplicated edge, a self-edge, an edge
+  to an unknown id, a reversed edge (a 2-cycle), an edge that closes the
+  longest refinement path (on `deep`, the chain) into one long cycle,
+  and a dangling edge together with a 2-cycle. Each gets `validate`,
+  `validate --json` and `optimize --global`.
 
 It then runs one fixed list of argv through `reqlattice.cli.main`, once
 per source tree, each side in its own subprocess. The list covers every
@@ -121,6 +127,34 @@ def _hostile_calls(path: str, document) -> list[list[str]]:
     ]
 
 
+def _longest_path(doc) -> list[str]:
+    """The longest refinement path of a generated catalog, whose edges
+    all run from a lower to a higher rank."""
+    depth = dict.fromkeys(doc.requirements, 0)
+    above: dict[str, str] = {}
+    for stronger, weaker in sorted(doc.edges, key=lambda edge: doc.rank[edge[0]]):
+        if depth[stronger] + 1 > depth[weaker]:
+            depth[weaker], above[weaker] = depth[stronger] + 1, stronger
+    path = [max(depth, key=depth.get)]
+    while path[-1] in above:
+        path.append(above[path[-1]])
+    return path[::-1]
+
+
+def _edge_variants(doc) -> dict[str, list[tuple[str, str]]]:
+    """The extra edges of each edge-hostile variant of `doc`."""
+    a, b = min(doc.edges)
+    path = _longest_path(doc)
+    return {
+        "duplicate": [(a, b)],
+        "self": [(a, a)],
+        "unknown": [(a, "NOPE")],
+        "reversed": [(b, a)],
+        "long-cycle": [(path[-1], path[0])],
+        "dangling-and-cycle": [("NOPE", b), (b, a)],
+    }
+
+
 VALUES = [None, True, 0, 7, "", "all", "ALL", "x", "\ud800"]
 VALUES += [[], ["x"], ["x", "x"], [1], [["x"]], {}]
 
@@ -160,14 +194,16 @@ def _mutate(rng: random.Random, document) -> tuple[object, str]:
     return doc, text
 
 
-def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list]]:
-    """Write every catalog under `work`; return the argv list and the
-    [path, edit] pairs to save, `edit` true for the generated catalogs."""
+def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int]:
+    """Write every catalog under `work`; return the argv list, the
+    [path, edit] pairs to save, `edit` true for the generated catalogs,
+    and the number of edge-hostile catalogs."""
     sys.path.insert(0, str(ROOT / "bench"))
     import catgen
 
     calls: list[list[str]] = []
     saves: list[list] = []
+    edge_hostile = 0
     for shape in SHAPES:
         for seed in SEEDS:
             doc = catgen.generate(catgen.SHAPES[shape], seed)
@@ -180,6 +216,17 @@ def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list]]:
                 [j["id"] for j in doc.jurisdictions],
                 [r["id"] for r in doc.regulations],
             )
+            for name, extra in _edge_variants(doc).items():
+                document = doc.to_json()
+                document["refinements"] += [{"stronger": a, "weaker": b} for a, b in extra]
+                path = work / f"{shape}-{seed}-{name}.reqcat.json"
+                path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+                calls += [
+                    ["validate", str(path)],
+                    ["validate", str(path), "--json"],
+                    ["optimize", str(path), "--global"],
+                ]
+                edge_hostile += 1
     fixtures = sorted((ROOT / "tests" / "data").glob("*.reqcat.json"))
     documents = []
     for fixture in fixtures:
@@ -201,7 +248,7 @@ def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list]]:
     for i, argv in enumerate(calls):
         if argv[0] == "export":
             argv += ["--out", f"{OUT}/view-{i}.dot"]
-    return calls, saves
+    return calls, saves, edge_hostile
 
 
 HOSTILE_TEXT = 'q"\\\x00\x1f\x7f\u2028\u00e9\U0001F600_'
@@ -286,7 +333,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
-        calls, saves = _write_catalogs(work)
+        calls, saves, edge_hostile = _write_catalogs(work)
         calls_path = work / "calls.json"
         calls_path.write_text(json.dumps([calls, saves]), encoding="utf-8")
         sides = []
@@ -327,7 +374,8 @@ def main(argv: list[str]) -> int:
     loaded = sum(not result[0].startswith("refused ") for result in parent_saved)
     edits = sum(len(result) == 2 for result in parent_saved)
     print(
-        f"compared {len(calls)} calls ({tally} at the parent) and "
+        f"compared {len(calls)} calls ({tally} at the parent; "
+        f"{3 * edge_hostile} on {edge_hostile} edge-hostile catalogs) and "
         f"{loaded + edits} saves ({loaded} loaded catalogs, {edits} edits): "
         f"{differences} difference(s)"
     )
