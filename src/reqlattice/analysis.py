@@ -32,6 +32,7 @@ from .model import (
     Catalog,
     Issue,
     Kind,
+    Requirement,
     Scope,
     Severity,
     expand_scope,
@@ -128,16 +129,18 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
     core, complements = shared_regulations(catalog)
     in_core = regulation_id in core
 
-    affected = RequirementSet.of(
-        req.id
+    citing = [
+        req
         for req in catalog.requirements
         if req.kind is Kind.RL and regulation_id in req.derived_from
-    )
-    # Expand only the affected scopes: on a freshly loaded catalog the
-    # per-product map would cost more than the whole query.
-    by_id, products = catalog.requirements_by_id, catalog.product_ids
+    ]
+    affected = RequirementSet.of(req.id for req in citing)
+    # Expand only the citing requirements' own product scopes: on a freshly
+    # loaded catalog the per-product map, or an index by id, would cost more
+    # than the whole query.
+    products = catalog.product_ids
     reached = frozenset().union(
-        *(expand_scope(by_id[rid].applies_to_products, products) for rid in affected)
+        *(expand_scope(req.applies_to_products, products) for req in citing)
     )
     affected_products = tuple(sorted(reached & products))
     jurisdictions = tuple(
@@ -173,9 +176,12 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
 
     shared = frozenset.intersection(*(minimum.members for minimum in minima.values()))
     pool = frozenset().union(*(minimum.members for minimum in minima.values()))
+    first: dict[str, Requirement] = {}  # the first requirement of each pool id
+    for req in catalog.requirements:
+        if req.id in pool:
+            first.setdefault(req.id, req)
     by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}
-    for rid in pool:
-        req = catalog.requirements_by_id[rid]
+    for rid, req in first.items():
         key = (
             _scope_sort_key(req.applies_to_products),
             _scope_sort_key(req.applies_to_jurisdictions),
@@ -183,10 +189,8 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
         by_signature.setdefault(key, set()).add(rid)
     clusters = tuple(
         ReuseCluster(
-            applies_to_products=catalog.requirements_by_id[min(members)].applies_to_products,
-            applies_to_jurisdictions=catalog.requirements_by_id[
-                min(members)
-            ].applies_to_jurisdictions,
+            applies_to_products=first[min(members)].applies_to_products,
+            applies_to_jurisdictions=first[min(members)].applies_to_jurisdictions,
             members=RequirementSet.of(members),
         )
         for _, members in sorted(by_signature.items())

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -224,13 +225,6 @@ class Catalog:
         return frozenset(r.id for r in self.requirements)
 
     @cached_property
-    def requirements_by_id(self) -> dict[str, Requirement]:
-        out: dict[str, Requirement] = {}
-        for req in self.requirements:
-            out.setdefault(req.id, req)
-        return out
-
-    @cached_property
     def refinement_children(self) -> dict[str, frozenset[str]]:
         """The one index of the refinement edges: every requirement id mapped
         to its direct weaker versions.  `validate` checks it for cycles and
@@ -241,13 +235,19 @@ class Catalog:
     # The scope maps are built here on first use, and `algebra` intersects
     # and unites their values.  Two readers expand scopes themselves:
     # `validate`'s RL coverage check, and `analysis.change_impact`, which
-    # expands only the affected requirements' product scopes.  Beside the
-    # maps sit four per-axis aggregates, each folded from its map once: the
+    # expands only the product scopes of the requirements citing the
+    # regulation.  Beside the maps sit four per-axis aggregates: the
     # requirements on every product, on some product, in every jurisdiction
-    # and in some jurisdiction.  An axis with no entities has empty
-    # aggregates ("every" is not the vacuous universe; the constructs that
-    # need an "every" refuse an empty axis first).  Like the maps, filling
-    # in an aggregate is idempotent.
+    # and in some jurisdiction.  Each is one scan of the requirements' scopes
+    # on its axis, so a construct that reads only aggregates on an axis never
+    # builds that axis's map.  A duplicated id covers the union of its
+    # scopes, which can cover every entity when no one scope does; so a
+    # catalog with a duplicated id (`validate` refuses it) folds the map for
+    # an "every" aggregate.  A "some" scan needs no such guard: the union
+    # meets the axis exactly when one of its scopes does.  An axis with no
+    # entities has empty aggregates ("every" is not the vacuous universe; the
+    # constructs that need an "every" refuse an empty axis first).  Like the
+    # maps, filling in an aggregate is idempotent.
 
     @cached_property
     def requirements_by_product(self) -> dict[str, frozenset[str]]:
@@ -268,21 +268,42 @@ class Catalog:
         pairs = ((r.id, r.jurisdictions) for r in self.regulations)
         return _invert(pairs, (j.id for j in self.jurisdictions))
 
+    def _covering(
+        self, scopes: list[Scope], universe: frozenset[str], every: bool
+    ) -> frozenset[str]:
+        """The ids of the requirements whose scope (`scopes` holds one per
+        requirement, in order) covers every, or some, entity of `universe`."""
+        if not universe:
+            return frozenset()
+        if every:
+            hits = [scope is ALL or universe <= scope for scope in scopes]
+        else:
+            hits = [scope is ALL or not universe.isdisjoint(scope) for scope in scopes]
+        return frozenset(compress([r.id for r in self.requirements], hits))
+
     @cached_property
     def requirements_on_every_product(self) -> frozenset[str]:
-        return _fold(frozenset.intersection, self.requirements_by_product)
+        if len(self.requirement_ids) != len(self.requirements):
+            return _fold(frozenset.intersection, self.requirements_by_product)
+        scopes = [r.applies_to_products for r in self.requirements]
+        return self._covering(scopes, self.product_ids, every=True)
 
     @cached_property
     def requirements_on_some_product(self) -> frozenset[str]:
-        return _fold(frozenset.union, self.requirements_by_product)
+        scopes = [r.applies_to_products for r in self.requirements]
+        return self._covering(scopes, self.product_ids, every=False)
 
     @cached_property
     def requirements_in_every_jurisdiction(self) -> frozenset[str]:
-        return _fold(frozenset.intersection, self.requirements_by_jurisdiction)
+        if len(self.requirement_ids) != len(self.requirements):
+            return _fold(frozenset.intersection, self.requirements_by_jurisdiction)
+        scopes = [r.applies_to_jurisdictions for r in self.requirements]
+        return self._covering(scopes, self.jurisdiction_ids, every=True)
 
     @cached_property
     def requirements_in_some_jurisdiction(self) -> frozenset[str]:
-        return _fold(frozenset.union, self.requirements_by_jurisdiction)
+        scopes = [r.applies_to_jurisdictions for r in self.requirements]
+        return self._covering(scopes, self.jurisdiction_ids, every=False)
 
 
 class Severity(str, Enum):

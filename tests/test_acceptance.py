@@ -200,8 +200,9 @@ def test_criterion_5_change_tracing():
     complement_report = change_impact(catalog, "s1")
     assert complement_report.scope is ImpactScope.COUNTRY_SPECIFIC
     assert complement_report.jurisdictions == ("C1",)
+    by_id = {req.id: req for req in catalog.requirements}
     for rid in complement_report.affected_requirements:
-        req = catalog.requirements_by_id[rid]
+        req = by_id[rid]
         assert req.applies_to_jurisdictions == frozenset({"C1"})
         for pid in complement_report.affected_products:
             part = partition_general_specific(catalog, pid, Kind.RL)

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from catgen import random_catalog
 from reqlattice.algebra import (
+    global_union,
+    jurisdiction_rl,
     partition_general_specific,
+    product_union,
     requirements_for,
+    rl_min,
     shared_regulations,
 )
 from reqlattice.analysis import (
@@ -19,6 +25,7 @@ from reqlattice.analysis import (
     reuse_candidates,
 )
 from reqlattice.errors import EmptyCatalogError, UnknownIdError
+from reqlattice.io import load
 from reqlattice.model import (
     ALL,
     IMPLICATION_VIOLATED,
@@ -29,6 +36,14 @@ from reqlattice.model import (
     Regulation,
     Requirement,
 )
+from reqlattice.refinement import (
+    build_graph,
+    strongest_global,
+    strongest_product,
+    strongest_rl,
+)
+
+DATA = Path(__file__).parent / "data"
 
 DISJOINT_CATALOG = Catalog(
     jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
@@ -175,13 +190,30 @@ def test_impact_of_complement_regulation_stays_country_specific():
     assert report.affected_products == ("P2",)
     # Brute-force confinement check: every affected requirement scoped only
     # to C2 must land in the C2-specific partition of each of its products.
+    by_id = {req.id: req for req in PARTIAL_CATALOG.requirements}
     for rid in report.affected_requirements:
-        req = PARTIAL_CATALOG.requirements_by_id[rid]
+        req = by_id[rid]
         assert req.applies_to_jurisdictions == frozenset({"C2"})
         for pid in report.affected_products:
             part = partition_general_specific(PARTIAL_CATALOG, pid, Kind.RL)
             assert rid in part.specific["C2"]
             assert rid not in part.general
+
+
+def test_impact_reports_the_products_of_the_citing_requirements():
+    # Two requirements share the id X (a catalog `validate` refuses): the
+    # one on P2 cites g, the one on P1 cites s1.  A change to s1 reaches
+    # only the X that cites it, whichever X comes first.
+    catalog = dataclasses.replace(
+        PARTIAL_CATALOG,
+        requirements=[
+            Requirement("X", Kind.RL, derived_from={"g"}, applies_to_products={"P2"}),
+            Requirement("X", Kind.RL, derived_from={"s1"}, applies_to_products={"P1"}),
+        ],
+    )
+    assert change_impact(catalog, "s1").affected_products == ("P1",)
+    assert change_impact(catalog, "g").affected_products == ("P2",)
+    assert list(change_impact(catalog, "s1").affected_requirements) == ["X"]
 
 
 def test_impact_of_unknown_regulation():
@@ -291,3 +323,30 @@ def test_identical_case_never_warns():
         requirements=[Requirement("r1", Kind.RL, derived_from={"g"})],
     )
     assert consistency_diagnostics(catalog) == []
+
+
+BY_PRODUCT, BY_JURISDICTION = "requirements_by_product", "requirements_by_jurisdiction"
+BOTH_MAPS = {BY_PRODUCT, BY_JURISDICTION}
+
+
+@pytest.mark.parametrize(
+    "call, unbuilt",
+    [
+        pytest.param(lambda c, g: jurisdiction_rl(c, "C1"), {BY_PRODUCT}, id="jurisdiction_rl"),
+        pytest.param(lambda c, g: rl_min(c, "C1"), {BY_PRODUCT}, id="rl_min"),
+        pytest.param(lambda c, g: strongest_rl(c, g, "C1"), {BY_PRODUCT}, id="strongest_rl"),
+        pytest.param(lambda c, g: product_union(c, "P1"), {BY_JURISDICTION}, id="product_union"),
+        pytest.param(
+            lambda c, g: strongest_product(c, g, "P1"), {BY_JURISDICTION}, id="strongest_product"
+        ),
+        pytest.param(lambda c, g: global_union(c), BOTH_MAPS, id="global_union"),
+        pytest.param(lambda c, g: strongest_global(c, g), BOTH_MAPS, id="strongest_global"),
+        pytest.param(lambda c, g: change_impact(c, "s1"), BOTH_MAPS, id="change_impact"),
+    ],
+)
+def test_first_question_on_a_fresh_catalog_builds_only_what_it_reads(call, unbuilt):
+    # A `cached_property` stores its value in the instance's __dict__.
+    catalog = load(DATA / "partial.reqcat.json")
+    graph = build_graph(catalog)
+    call(catalog, graph)
+    assert unbuilt.isdisjoint(vars(catalog))

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 from catgen import random_catalog, random_digraph
+from reqlattice.algebra import general_part, rl_min
 from reqlattice.io import load
 from reqlattice.model import (
     ALL,
@@ -375,12 +376,47 @@ def with_foreign_ids(rng: random.Random, catalog: Catalog) -> Catalog:
     )
 
 
+def with_duplicated_ids(rng: random.Random, catalog: Catalog) -> Catalog:
+    """Repeat some requirements under the same id with another scope: mostly
+    the complement of the original, so that only the union of the two covers
+    a whole axis."""
+    pids = frozenset(p.id for p in catalog.products)
+    jids = frozenset(j.id for j in catalog.jurisdictions)
+
+    def other(scope, universe):
+        if scope is ALL or rng.random() < 0.3:
+            return frozenset(rng.sample(sorted(universe), rng.randint(0, len(universe))))
+        return universe - scope
+
+    repeats = [
+        dataclasses.replace(
+            r,
+            applies_to_products=other(r.applies_to_products, pids),
+            applies_to_jurisdictions=other(r.applies_to_jurisdictions, jids),
+        )
+        for r in catalog.requirements
+        if rng.random() < 0.4
+    ]
+    return dataclasses.replace(catalog, requirements=catalog.requirements + tuple(repeats))
+
+
+def every(by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
+    return frozenset.intersection(*by_entity.values()) if by_entity else frozenset()
+
+
+def some(by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
+    return frozenset.union(*by_entity.values()) if by_entity else frozenset()
+
+
 def test_scope_maps_match_a_per_entity_scan():
     rng = random.Random(2718)
+    duplicated = 0
     for trial in range(150):
         catalog = random_catalog(rng)
         if trial % 3 == 1:
             catalog = with_foreign_ids(rng, catalog)
+        if trial % 4 == 0:
+            catalog = with_duplicated_ids(rng, catalog)
         if trial % 5 == 2:
             catalog = dataclasses.replace(catalog, products=())
         if trial % 5 == 3:
@@ -388,15 +424,32 @@ def test_scope_maps_match_a_per_entity_scan():
         pids = [p.id for p in catalog.products]
         jids = [j.id for j in catalog.jurisdictions]
         reqs = catalog.requirements
-        assert catalog.requirements_by_product == scan(
-            reqs, lambda r: r.applies_to_products, pids
-        )
-        assert catalog.requirements_by_jurisdiction == scan(
-            reqs, lambda r: r.applies_to_jurisdictions, jids
-        )
+        by_product = scan(reqs, lambda r: r.applies_to_products, pids)
+        by_jurisdiction = scan(reqs, lambda r: r.applies_to_jurisdictions, jids)
+        by_kind = {kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind}
+        assert catalog.requirements_by_product == by_product
+        assert catalog.requirements_by_jurisdiction == by_jurisdiction
         assert catalog.regulations_by_jurisdiction == scan(
             catalog.regulations, lambda r: r.jurisdictions, jids
         )
-        assert catalog.requirements_by_kind == {
-            kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind
-        }
+        assert catalog.requirements_by_kind == by_kind
+        # A fresh copy, so each aggregate is computed before any map exists.
+        fresh = dataclasses.replace(catalog)
+        assert fresh.requirements_on_every_product == every(by_product)
+        assert fresh.requirements_on_some_product == some(by_product)
+        assert fresh.requirements_in_every_jurisdiction == every(by_jurisdiction)
+        assert fresh.requirements_in_some_jurisdiction == some(by_jurisdiction)
+        if len(catalog.requirement_ids) == len(reqs):
+            continue
+        # A duplicated id covers the union of its scopes.
+        duplicated += 1
+        for jid in jids if pids else ():
+            assert rl_min(fresh, jid).members == (
+                by_jurisdiction[jid] & by_kind[Kind.RL] & every(by_product)
+            )
+        for pid in pids if jids else ():
+            for kind in Kind:
+                assert general_part(fresh, pid, kind).members == (
+                    by_product[pid] & by_kind[kind] & every(by_jurisdiction)
+                )
+    assert duplicated >= 30

@@ -21,10 +21,10 @@ writes two sets of catalogs into a temporary directory:
 It then runs one fixed list of argv through `reqlattice.cli.main`, once
 per source tree, each side in its own subprocess. The list covers every
 command kind in text and `--json` form, every country and product view
-focus of the generated catalogs, unknown-id and empty-id errors, and
-usage errors. For every call it compares the exit code, stdout, stderr
-and the bytes of any `.dot` file written, with each side's output
-directory replaced by a placeholder.
+focus and every regulation's `impact` of the generated catalogs,
+unknown-id and empty-id errors, and usage errors. For every call it
+compares the exit code, stdout, stderr and the bytes of any `.dot` file
+written, with each side's output directory replaced by a placeholder.
 
 It also compares saved bytes: `io.save(io.loads(text))` of every
 generated catalog, fixture and hostile catalog that loads, and the save
@@ -61,7 +61,6 @@ def _with_json(argvs: list[list[str]]) -> list[list[str]]:
 def _valid_calls(path: str, products: list[str], jurisdictions: list[str], regulations: list[str]):
     p0, p1 = products[0], products[-1]
     j0, j1 = jurisdictions[0], jurisdictions[-1]
-    step = max(1, len(regulations) // 4)
     kinds = ([], ["--kind", "rl"], ["--kind", "rfn"])
     argvs = [["validate", path], ["classify", path]]
     for p, j in ((p0, j0), (p1, j1)):
@@ -74,7 +73,7 @@ def _valid_calls(path: str, products: list[str], jurisdictions: list[str], regul
         ["optimize", path, "--product", p0],
         ["optimize", path, "--global"],
     ]
-    argvs += [["impact", path, "--regulation", r] for r in regulations[::step][:5]]
+    argvs += [["impact", path, "--regulation", r] for r in regulations]
     argvs += [["export", path, "--view", "country", "--focus", j] for j in jurisdictions]
     argvs += [["export", path, "--view", "product", "--focus", p] for p in products]
     argvs += [["export", path, "--view", "global"]]
@@ -194,16 +193,17 @@ def _mutate(rng: random.Random, document) -> tuple[object, str]:
     return doc, text
 
 
-def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int]:
+def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int, int]:
     """Write every catalog under `work`; return the argv list, the
     [path, edit] pairs to save, `edit` true for the generated catalogs,
-    and the number of edge-hostile catalogs."""
+    the number of edge-hostile catalogs and the number of `impact` calls
+    on the generated catalogs."""
     sys.path.insert(0, str(ROOT / "bench"))
     import catgen
 
     calls: list[list[str]] = []
     saves: list[list] = []
-    edge_hostile = 0
+    edge_hostile = impacts = 0
     for shape in SHAPES:
         for seed in SEEDS:
             doc = catgen.generate(catgen.SHAPES[shape], seed)
@@ -216,6 +216,7 @@ def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int]:
                 [j["id"] for j in doc.jurisdictions],
                 [r["id"] for r in doc.regulations],
             )
+            impacts += 2 * len(doc.regulations)  # text and --json
             for name, extra in _edge_variants(doc).items():
                 document = doc.to_json()
                 document["refinements"] += [{"stronger": a, "weaker": b} for a, b in extra]
@@ -248,7 +249,7 @@ def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int]:
     for i, argv in enumerate(calls):
         if argv[0] == "export":
             argv += ["--out", f"{OUT}/view-{i}.dot"]
-    return calls, saves, edge_hostile
+    return calls, saves, edge_hostile, impacts
 
 
 HOSTILE_TEXT = 'q"\\\x00\x1f\x7f\u2028\u00e9\U0001F600_'
@@ -333,7 +334,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
-        calls, saves, edge_hostile = _write_catalogs(work)
+        calls, saves, edge_hostile, impacts = _write_catalogs(work)
         calls_path = work / "calls.json"
         calls_path.write_text(json.dumps([calls, saves]), encoding="utf-8")
         sides = []
@@ -375,7 +376,8 @@ def main(argv: list[str]) -> int:
     edits = sum(len(result) == 2 for result in parent_saved)
     print(
         f"compared {len(calls)} calls ({tally} at the parent; "
-        f"{3 * edge_hostile} on {edge_hostile} edge-hostile catalogs) and "
+        f"{3 * edge_hostile} on {edge_hostile} edge-hostile catalogs, "
+        f"{impacts} impact calls on every regulation of the generated catalogs) and "
         f"{loaded + edits} saves ({loaded} loaded catalogs, {edits} edits): "
         f"{differences} difference(s)"
     )
