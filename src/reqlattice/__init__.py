@@ -42,7 +42,6 @@ from .io import (
     ViewKind,
     build_view,
     dumps,
-    export_view,
     load,
     loads,
     render_dot,

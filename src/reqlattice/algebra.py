@@ -36,10 +36,10 @@ human-factor tags never affect set membership, only reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import EmptyCatalogError, UnknownIdError
-from .model import Catalog, Kind, _as_kind
+from .model import Catalog, Kind
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class RequirementSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
-
-    @classmethod
-    def of(cls, ids: Iterable[str]) -> RequirementSet:
-        return cls(frozenset(ids))
 
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self.members))
@@ -128,7 +124,7 @@ def requirements_for(
         & catalog.requirements_by_jurisdiction[jurisdiction_id]
     )
     if kind_filter is not None:
-        members &= catalog.requirements_by_kind[_as_kind(kind_filter)]
+        members &= catalog.requirements_by_kind[Kind(kind_filter)]
     return RequirementSet(members)
 
 
@@ -205,7 +201,7 @@ def general_part(catalog: Catalog, product_id: str, kind: Kind | str) -> Require
     _require(product_id, catalog.product_ids, "product")
     return RequirementSet(
         catalog.requirements_by_product[product_id]
-        & catalog.requirements_by_kind[_as_kind(kind)]
+        & catalog.requirements_by_kind[Kind(kind)]
         & catalog.requirements_in_every_jurisdiction
     )
 

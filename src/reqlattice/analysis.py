@@ -134,7 +134,7 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
         for req in catalog.requirements
         if req.kind is Kind.RL and regulation_id in req.derived_from
     ]
-    affected = RequirementSet.of(req.id for req in citing)
+    affected = RequirementSet(req.id for req in citing)
     # Expand only the citing requirements' own product scopes: on a freshly
     # loaded catalog the per-product map, or an index by id, would cost more
     # than the whole query.
@@ -191,7 +191,7 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
         ReuseCluster(
             applies_to_products=first[min(members)].applies_to_products,
             applies_to_jurisdictions=first[min(members)].applies_to_jurisdictions,
-            members=RequirementSet.of(members),
+            members=RequirementSet(members),
         )
         for _, members in sorted(by_signature.items())
     )

@@ -130,7 +130,7 @@ def cmd_sets(args: argparse.Namespace) -> int:
     else:
         result = product_union(catalog, args.product)
         if args.kind is not None:
-            of_kind = catalog.requirements_by_kind[Kind(args.kind.upper())]
+            of_kind = catalog.requirements_by_kind[Kind(args.kind)]
             result = RequirementSet(result.members & of_kind)
     _print_set(result, args)
     return EXIT_OK

@@ -260,6 +260,8 @@ def loads(text: str | bytes) -> Catalog:
             raise ParseError(
                 f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal past the interpreter's digit limit
+            raise ParseError("malformed catalog document: integer literal too long") from exc
         except RecursionError as exc:
             raise ParseError("malformed catalog document: arrays or objects nested too deeply") from exc
 
@@ -276,17 +278,13 @@ def loads(text: str | bytes) -> Catalog:
             gc.enable()
 
 
-def load(source) -> Catalog:
-    """Load a catalog from a path, a file-like object, or raw bytes."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = Path(source).read_bytes()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
-        return loads(data)
-    if hasattr(source, "read"):
-        return loads(source.read())
-    return loads(source)
+def load(path: str | Path) -> Catalog:
+    """Read and parse the catalog file at `path`; `loads` parses text or bytes."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return loads(data)
 
 
 _str = json.encoder.encode_basestring  # the C encoder json.dumps uses per string
@@ -500,12 +498,3 @@ def render_dot(view: GraphView) -> str:
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_view(
-    catalog: Catalog,
-    graph: refinement.RefinementGraph,
-    kind: ViewKind | str,
-    focus: str | None = None,
-) -> str:
-    return render_dot(build_view(catalog, graph, kind, focus))

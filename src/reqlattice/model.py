@@ -102,11 +102,12 @@ class Kind(str, Enum):
     RL = "RL"
     RFN = "RFN"
 
-
-def _as_kind(value) -> Kind:
-    if isinstance(value, Kind):
-        return value
-    return Kind(str(value).upper())
+    @classmethod
+    def _missing_(cls, value) -> Kind | None:
+        """Read a kind name in any case; catalog files stay strict (`io`)."""
+        if isinstance(value, str):
+            return next((kind for kind in cls if kind.value == value.upper()), None)
+        return None
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ class Requirement:
         # Values that already have their final type (as `io` passes them)
         # are kept as they are; anything else is coerced.
         if type(self.kind) is not Kind:
-            object.__setattr__(self, "kind", _as_kind(self.kind))
+            object.__setattr__(self, "kind", Kind(self.kind))
         if type(self.derived_from) is not frozenset:
             object.__setattr__(self, "derived_from", frozenset(self.derived_from))
         if type(self.human_factors) is not frozenset:
@@ -406,8 +407,8 @@ def _cycle_components(children: Mapping[str, frozenset[str]]) -> list[list[str]]
 
     The package's one cycle detector, over an index that maps every node to
     its children (as `_adjacency` builds it): `validate` reports its
-    components, and `RefinementGraph.from_edges` refuses edge sets that
-    have any. Kahn's peel first drops, over and over, every node with no
+    components, so `refinement.build_graph` refuses a catalog that has
+    any. Kahn's peel first drops, over and over, every node with no
     incoming edge left, since no cycle passes through it; iterative Tarjan
     then runs on what remains, which is nothing for an acyclic edge set.
     A node left with an incoming edge has only such nodes as children.

@@ -29,12 +29,12 @@ reachability and exists purely as an independent correctness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import algebra
 from .algebra import RequirementSet
 from .errors import CatalogInvalidError, UnknownIdError
-from .model import Catalog, _adjacency, _cycle_components, validate
+from .model import Catalog, validate
 
 
 def _descend(
@@ -64,36 +64,19 @@ def _descend(
 
 @dataclass(frozen=True)
 class RefinementGraph:
-    """Declared stronger->weaker edges over a set of requirement ids.
+    """The declared stronger->weaker edges of a validated catalog.
 
-    Descendant sets are filled in per source on first use by
-    `descendants`. They depend only on the immutable edges, so concurrent
-    readers computing the same set store equal values and need no locking.
+    `direct` maps every requirement id to its direct weaker versions, so its
+    keys are the nodes. Only `build_graph` makes a graph. Descendant sets are
+    filled in per source on first use by `descendants`. They depend only on
+    the immutable edges, so concurrent readers computing the same set store
+    equal values and need no locking.
     """
 
-    nodes: frozenset[str]
     direct: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_below", {})
-
-    @classmethod
-    def from_edges(
-        cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]
-    ) -> RefinementGraph:
-        """Build the graph for an acyclic edge set.
-
-        Raises ValueError on a cycle or an edge endpoint outside `nodes`.
-        """
-        node_set = frozenset(nodes)
-        edge_set = set(edges)
-        for stronger, weaker in edge_set:
-            if stronger not in node_set or weaker not in node_set:
-                raise ValueError(f"edge endpoint outside node set: {stronger} -> {weaker}")
-        direct = _adjacency(node_set, edge_set)
-        if any(a == b for a, b in edge_set) or _cycle_components(direct):
-            raise ValueError("refinement edges contain a cycle")
-        return cls(nodes=node_set, direct=direct)
 
     def descendants(self, requirement_id: str) -> frozenset[str]:
         """Every requirement weaker than `requirement_id` (reachable from it)."""
@@ -106,13 +89,14 @@ class RefinementGraph:
         return below
 
     def _check_known(self, requirement_id: str) -> None:
-        if requirement_id not in self.nodes:
+        if requirement_id not in self.direct:
             raise UnknownIdError(f"unknown requirement: {requirement_id!r}")
 
-    def _check_all_known(self, ids: Iterable[str]) -> None:
-        unknown = set(ids) - self.nodes
-        if unknown:
-            raise UnknownIdError(f"unknown requirement: {min(unknown)!r}")
+    def _check_all_known(self, ids: Collection[str]) -> None:
+        # One lookup per id; the smallest unknown one is looked for on failure only.
+        if not all(map(self.direct.__contains__, ids)):
+            unknown = min(i for i in ids if i not in self.direct)
+            raise UnknownIdError(f"unknown requirement: {unknown!r}")
 
 
 def build_graph(catalog: Catalog) -> RefinementGraph:
@@ -131,7 +115,7 @@ def build_graph(catalog: Catalog) -> RefinementGraph:
             + "; ".join(issue.code for issue in report.errors),
             report,
         )
-    return RefinementGraph(nodes=catalog.requirement_ids, direct=catalog.refinement_children)
+    return RefinementGraph(catalog.refinement_children)
 
 
 def is_weaker(graph: RefinementGraph, a: str, b: str) -> bool:
@@ -187,8 +171,7 @@ def oracle_maximal(
     with a plain stack walk over the declared edges.
     """
     ids = sorted(members if isinstance(members, RequirementSet) else set(members))
-    for requirement_id in ids:
-        graph._check_known(requirement_id)
+    graph._check_all_known(ids)
 
     def walk(start: str) -> set[str]:
         seen: set[str] = set()
@@ -202,9 +185,7 @@ def oracle_maximal(
         return seen
 
     reach = {requirement_id: walk(requirement_id) for requirement_id in ids}
-    return RequirementSet.of(
-        r for r in ids if not any(r in reach[q] for q in ids if q != r)
-    )
+    return RequirementSet(r for r in ids if not any(r in reach[q] for q in ids if q != r))
 
 
 def strongest_rl(catalog: Catalog, graph: RefinementGraph, jurisdiction_id: str) -> RequirementSet:

@@ -65,6 +65,15 @@ def random_subset(rng: random.Random, nodes: list[str]) -> list[str]:
     return [n for n in nodes if rng.random() < 0.5]
 
 
+def refinement_catalog(nodes: list[str], edges: list[tuple[str, str]]) -> Catalog:
+    """A catalog of RFN requirements `nodes` with the refinement `edges`;
+    `refinement.build_graph` makes its graph."""
+    return Catalog(
+        requirements=[Requirement(node, Kind.RFN) for node in nodes],
+        refinements=[RefinementEdge(stronger, weaker) for stronger, weaker in edges],
+    )
+
+
 def random_catalog(
     rng: random.Random,
     max_jurisdictions: int = 5,

@@ -13,7 +13,7 @@ import random
 import time
 from pathlib import Path
 
-from catgen import random_catalog, random_dag, random_subset
+from randcat import random_catalog, random_dag, random_subset, refinement_catalog
 from reqlattice.algebra import (
     jurisdiction_regulations,
     partition_general_specific,
@@ -30,10 +30,9 @@ from reqlattice.analysis import (
     consistency_diagnostics,
 )
 from reqlattice.cli import main
-from reqlattice.io import ViewKind, export_view, loads, save
+from reqlattice.io import ViewKind, build_view, loads, render_dot, save
 from reqlattice.model import IMPLICATION_VIOLATED, Kind, validate
 from reqlattice.refinement import (
-    RefinementGraph,
     build_graph,
     is_weaker,
     optimize,
@@ -55,7 +54,7 @@ def small_corpus():
     rng = random.Random(SMALL_CORPUS_SEED)
     for _ in range(SMALL_GRAPHS):
         nodes, edges = random_dag(rng, max_nodes=6)
-        yield RefinementGraph.from_edges(nodes, edges), nodes
+        yield build_graph(refinement_catalog(nodes, edges)), nodes
 
 
 def large_trials():
@@ -63,7 +62,7 @@ def large_trials():
     for _ in range(LARGE_TRIALS):
         n = rng.randint(10, 100)
         nodes, edges = random_dag(rng, max_nodes=n, edge_prob=rng.uniform(0.0, 0.05))
-        yield RefinementGraph.from_edges(nodes, edges), random_subset(rng, nodes)
+        yield build_graph(refinement_catalog(nodes, edges)), random_subset(rng, nodes)
 
 
 def all_subsets(nodes):
@@ -270,7 +269,7 @@ def test_criterion_7_round_trip_and_determinism(capsys):
         (ViewKind.PRODUCT_CENTRED, "P1"),
         (ViewKind.GLOBAL, None),
     ):
-        outputs = {export_view(catalog, graph, kind, focus) for _ in range(3)}
+        outputs = {render_dot(build_view(catalog, graph, kind, focus)) for _ in range(3)}
         assert len(outputs) == 1
 
     partial = str(DATA / "partial.reqcat.json")

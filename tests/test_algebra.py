@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from catgen import random_catalog
+from randcat import random_catalog
 from reqlattice.algebra import (
     RequirementSet,
     global_union,
@@ -422,16 +422,16 @@ def test_partition_requires_a_jurisdiction():
 
 
 def test_requirement_set_behaviour():
-    s = RequirementSet.of(["b", "a", "b"])
+    s = RequirementSet(["b", "a", "b"])
     assert list(s) == ["a", "b"]
     assert len(s) == 2
     assert "a" in s and "z" not in s
     assert s.ids == ("a", "b")
-    t = RequirementSet.of(["b", "c"])
+    t = RequirementSet(["b", "c"])
     assert list(s | t) == ["a", "b", "c"]
     assert list(s & t) == ["b"]
     assert list(s - t) == ["a"]
-    assert RequirementSet.of(["a"]).issubset(s)
+    assert RequirementSet(["a"]).issubset(s)
     assert not RequirementSet()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catgen import random_catalog
+from randcat import random_catalog
 from reqlattice.algebra import (
     global_union,
     jurisdiction_rl,

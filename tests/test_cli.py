@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from catgen import random_catalog
+from randcat import random_catalog
 from reqlattice import cli, model
 from reqlattice.algebra import requirements_for
 from reqlattice.cli import main
@@ -494,6 +494,17 @@ def test_validate_deeply_nested_document_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_validate_overlong_integer_literal_exits_two(capsys, tmp_path):
+    catalog = json.loads(Path(PARTIAL).read_text())
+    catalog["jurisdictions"][0]["name"] = 0
+    path = tmp_path / "overlong.reqcat.json"
+    path.write_text(json.dumps(catalog).replace('"name": 0', '"name": ' + "9" * 5000, 1))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_lone_surrogate_id_exits_two_without_traceback(capsys, tmp_path):

@@ -4,7 +4,9 @@ import dataclasses
 import random
 from pathlib import Path
 
-from catgen import random_catalog, random_digraph
+import pytest
+
+from randcat import random_catalog, random_digraph
 from reqlattice.algebra import general_part, rl_min
 from reqlattice.io import load
 from reqlattice.model import (
@@ -42,6 +44,14 @@ def rfn(rid: str, **kwargs) -> Requirement:
 
 def codes(issues) -> list[str]:
     return [issue.code for issue in issues]
+
+
+def test_kind_reads_any_case_and_refuses_other_values():
+    assert [Kind("rl"), Kind("Rfn"), Kind(Kind.RL)] == [Kind.RL, Kind.RFN, Kind.RL]
+    assert Requirement("r1", "rfn").kind is Kind.RFN
+    for value in ("x", "", 1, None):
+        with pytest.raises(ValueError):
+            Kind(value)
 
 
 def test_empty_catalog_is_vacuously_valid():

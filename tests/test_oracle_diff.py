@@ -2,14 +2,16 @@
 
 `bench/oracle.py` computes every answer by brute-force scope scans over
 the plain JSON document and shares no code with `reqlattice`. Both it and
-`bench/catgen.py` are loaded read-only from `bench/`. Each catalog is a
+`bench/catgen.py` are imported from `bench/`, which the pytest
+configuration puts on the import path. Each catalog is a
 seeded `catgen.TINY` shape or a corner derived from one: one
 jurisdiction, zero products, zero jurisdictions, every scope `"all"`,
 each regulation in one jurisdiction (disjoint regulation sets, which
 raise coverage and implication warnings), jurisdiction and product ids
 that contain `_` and `__` (among them the pairs whose joined global-view
 node ids once collided), or some requirements with an explicit empty
-product or jurisdiction scope (which raise `EMPTY_SCOPE`).
+product or jurisdiction scope (which raise `EMPTY_SCOPE`). `hypothesis`
+draws more corners of the same kinds from the transforms' parameters.
 Every answer goes through `cli.main --json` in process, except the
 partitions and the reuse report, which have no command and are checked
 through the library.
@@ -18,49 +20,22 @@ through the library.
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import io
 import json
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import catgen
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracle import Oracle, check_dot, check_optimize
 
 from reqlattice.algebra import general_part, partition_general_specific
 from reqlattice.analysis import reuse_candidates
 from reqlattice.cli import main
 from reqlattice.errors import EmptyCatalogError
 from reqlattice.io import load, loads
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-# `bench/oracle.py` imports `catgen`, which in `tests/` names another module.
-catgen = _load_bench("catgen")
-_shadowed = sys.modules.get("catgen")
-sys.modules["catgen"] = catgen
-try:
-    oracle_module = _load_bench("oracle")
-finally:
-    if _shadowed is None:
-        del sys.modules["catgen"]
-    else:
-        sys.modules["catgen"] = _shadowed
-Oracle, check_dot, check_optimize = (
-    oracle_module.Oracle,
-    oracle_module.check_dot,
-    oracle_module.check_optimize,
-)
-
 
 def _restricted(doc, jids, pids):
     """`doc` over only the given jurisdictions and products; explicit scopes
@@ -117,17 +92,10 @@ def _renamed(doc, names):
     )
 
 
-def _with_empty_scopes(doc):
-    """Every 7th requirement gets an empty product scope, every 5th an
-    empty jurisdiction scope (every 35th both)."""
-    requirements = {}
-    for i, (rid, req) in enumerate(sorted(doc.requirements.items())):
-        req = dict(req)
-        if i % 7 == 3:
-            req["applies_to_products"] = []
-        if i % 5 == 1:
-            req["applies_to_jurisdictions"] = []
-        requirements[rid] = req
+def _with_scopes(doc, scopes):
+    """`doc` with the requirement scopes that `scopes` (requirement id ->
+    {scope key: "all" or an id list}) names replaced."""
+    requirements = {rid: {**req, **scopes.get(rid, {})} for rid, req in doc.requirements.items()}
     return dataclasses.replace(doc, requirements=requirements)
 
 
@@ -157,7 +125,15 @@ def _catalogs():
             **dict(zip(pids, ["x", "x__C1", "x_", "__"])),
         },
     )
-    out["empty-scopes"] = _with_empty_scopes(base)
+    # Every 7th requirement gets an empty product scope, every 5th an empty
+    # jurisdiction scope (every 35th both).
+    empty = {}
+    for i, rid in enumerate(sorted(base.requirements)):
+        if i % 7 == 3:
+            empty.setdefault(rid, {})["applies_to_products"] = []
+        if i % 5 == 1:
+            empty.setdefault(rid, {})["applies_to_jurisdictions"] = []
+    out["empty-scopes"] = _with_scopes(base, empty)
     return out
 
 
@@ -212,9 +188,9 @@ def _check_warnings(doc, oracle, warnings):
     assert by_code == {}
 
 
-@pytest.mark.parametrize("name", sorted(CATALOGS))
-def test_cli_answers_match_the_oracle(name, tmp_path):
-    doc = CATALOGS[name]
+def _check_against_oracle(doc, tmp_path):
+    """Every CLI answer on `doc` (and the library's partitions and reuse
+    report) equals the oracle's."""
     path = tmp_path / "catalog.reqcat.json"
     path.write_text(doc.text(), encoding="utf-8")
     cat = str(path)
@@ -292,6 +268,59 @@ def test_cli_answers_match_the_oracle(name, tmp_path):
     else:
         with pytest.raises(EmptyCatalogError):
             reuse_candidates(catalog)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_cli_answers_match_the_oracle(name, tmp_path):
+    _check_against_oracle(CATALOGS[name], tmp_path)
+
+
+def _scope(ids):
+    """`"all"` or an explicit, possibly empty, id list over `ids`."""
+    explicit = st.lists(st.sampled_from(ids), unique=True).map(sorted) if ids else st.just([])
+    return st.just("all") | explicit
+
+
+@st.composite
+def corner_documents(draw):
+    """A `catgen.TINY` document restricted to drawn jurisdictions and
+    products (possibly one or none), with drawn scopes on some
+    requirements, every scope `"all"`, or neither, and its jurisdiction and
+    product ids possibly renamed to short strings of `_`, `x` and `C1`."""
+    shape = draw(st.sampled_from(sorted(catgen.TINY)))
+    doc = catgen.generate(catgen.TINY[shape], draw(st.integers(0, 99)))
+    jids = draw(st.permutations([j["id"] for j in doc.jurisdictions]))
+    pids = draw(st.permutations([p["id"] for p in doc.products]))
+    jids = jids[: draw(st.integers(0, len(jids)))]
+    pids = pids[: draw(st.integers(0, len(pids)))]
+    doc = _restricted(doc, jids, pids)
+    scoping = draw(st.sampled_from(["as generated", "drawn", "all"]))
+    if scoping == "drawn":
+        scopes = st.fixed_dictionaries(
+            {"applies_to_products": _scope(pids), "applies_to_jurisdictions": _scope(jids)}
+        )
+        rids = st.sampled_from(sorted(doc.requirements))
+        doc = _with_scopes(doc, draw(st.dictionaries(rids, scopes)))
+    elif scoping == "all":
+        doc = _all_scoped(doc)
+    if draw(st.booleans()):
+        names = st.text(alphabet="_xC1", min_size=1, max_size=4)
+        new_jids = draw(st.lists(names, min_size=len(jids), max_size=len(jids), unique=True))
+        new_pids = draw(st.lists(names, min_size=len(pids), max_size=len(pids), unique=True))
+        doc = _renamed(doc, {**dict(zip(jids, new_jids)), **dict(zip(pids, new_pids))})
+    return doc
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=corner_documents())
+def test_cli_answers_match_the_oracle_on_drawn_corners(doc, tmp_path):
+    _check_against_oracle(doc, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))

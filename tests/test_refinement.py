@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from catgen import random_catalog, random_dag, random_subset
+from randcat import random_catalog, random_dag, random_subset, refinement_catalog
 from reqlattice.algebra import RequirementSet, jurisdiction_rl, product_union
 from reqlattice.errors import CatalogInvalidError, UnknownIdError
 from reqlattice.model import (
@@ -32,7 +32,7 @@ from reqlattice.refinement import (
 
 
 def graph_of(nodes, edges) -> RefinementGraph:
-    return RefinementGraph.from_edges(nodes, edges)
+    return build_graph(refinement_catalog(nodes, edges))
 
 
 CHAIN = graph_of(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -56,7 +56,7 @@ def dfs_reachable(edges, start) -> set[str]:
 
 
 def weaker_than(graph, node) -> set[str]:
-    return {other for other in graph.nodes if is_weaker(graph, other, node)}
+    return {other for other in graph.direct if is_weaker(graph, other, node)}
 
 
 def test_empty_graph_has_empty_closure():
@@ -81,21 +81,22 @@ def test_random_dag_closure_matches_dfs_reachability():
             assert graph.descendants(node) == dfs_reachable(edges, node), (nodes, edges)
 
 
-def test_from_edges_rejects_cycles_and_foreign_endpoints():
-    with pytest.raises(ValueError):
-        graph_of(["a", "b"], [("a", "b"), ("b", "a")])
-    with pytest.raises(ValueError):
-        graph_of(["a"], [("a", "z")])
-    with pytest.raises(ValueError):
-        graph_of(["a"], [("a", "a")])
-    with pytest.raises(ValueError):
-        graph_of(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    with pytest.raises(ValueError):  # a 2-cycle with a chain above and below it
-        graph_of(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")])
+def test_build_graph_rejects_cycles_and_foreign_endpoints():
+    for nodes, edges, code in (
+        (["a", "b"], [("a", "b"), ("b", "a")], "CYCLE"),
+        (["a"], [("a", "z")], "UNKNOWN_REF"),
+        (["a"], [("a", "a")], "SELF_EDGE"),
+        (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "CYCLE"),
+        # a 2-cycle with a chain above and below it
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")], "CYCLE"),
+    ):
+        with pytest.raises(CatalogInvalidError) as excinfo:
+            graph_of(nodes, edges)
+        assert [issue.code for issue in excinfo.value.report.errors] == [code], edges
 
 
 def test_graph_holds_direct_edges_only():
-    assert [f.name for f in dataclasses.fields(RefinementGraph)] == ["nodes", "direct"]
+    assert [f.name for f in dataclasses.fields(RefinementGraph)] == ["direct"]
     assert DIAMOND.direct["a"] == {"b", "c"}
     assert DIAMOND.direct["d"] == frozenset()
 
@@ -116,7 +117,7 @@ def test_build_graph_covers_isolated_requirements():
         refinements=[],
     )
     graph = build_graph(catalog)
-    assert graph.nodes == {"r1", "r2"}
+    assert graph.direct.keys() == {"r1", "r2"}
     assert not is_weaker(graph, "r1", "r2")
     assert not is_weaker(graph, "r2", "r1")
 
@@ -171,7 +172,7 @@ def test_optimize_rejects_unknown_ids():
 def test_witnesses_pick_the_smallest_dominating_member():
     assert witnesses(CHAIN, ["a"]) == {"b": "a", "c": "a"}
     assert witnesses(DIAMOND, ["b", "c"]) == {"d": "b"}
-    assert witnesses(DIAMOND, RequirementSet.of(["c"])) == {"d": "c"}
+    assert witnesses(DIAMOND, RequirementSet(["c"])) == {"d": "c"}
     assert witnesses(CHAIN, []) == {}
     with pytest.raises(UnknownIdError):
         witnesses(CHAIN, ["a", "zz"])
@@ -297,7 +298,7 @@ def test_strongest_rl_cases():
         ],
     )
     graph = build_graph(antichain_catalog)
-    assert strongest_rl(antichain_catalog, graph, "C1") == RequirementSet.of(["a", "b"])
+    assert strongest_rl(antichain_catalog, graph, "C1") == RequirementSet(["a", "b"])
 
     graph = build_graph(STRONGEST_CATALOG)
     base = jurisdiction_rl(STRONGEST_CATALOG, "C1")
