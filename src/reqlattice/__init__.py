@@ -47,6 +47,7 @@ from .io import (
     render_dot,
     save,
     save_file,
+    write_dot,
 )
 from .model import (
     ALL,

@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import io as catalog_io
 from .algebra import (
@@ -215,7 +214,7 @@ def cmd_impact(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     catalog, graph = _load_validated(args.catalog)
     view = catalog_io.build_view(catalog, graph, args.view, args.focus)
-    Path(args.out).write_bytes(catalog_io.render_dot(view).encode("utf-8"))
+    catalog_io.write_dot(view, args.out)
     if args.json:
         _emit_json({"out": args.out, "nodes": len(view.nodes), "edges": len(view.edges)})
     else:

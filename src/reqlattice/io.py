@@ -27,6 +27,16 @@ dependencies as digraph text:
   per-jurisdiction minimum and strongest sets, which feed the overall
   strongest set.
 
+Loading keeps one copy of each fact. `load` hands the file's bytes to
+`loads`, which decodes them, parses the text with `json.loads` and drops
+the text before any entity is built. Each collection is then checked and
+converted one field at a time and taken out of the document as its
+entities are built. Equal id arrays become one shared frozenset, through
+a dict that lives only for the call.
+
+`write_dot` streams a view to a file line by line; `render_dot` joins the
+same lines into one string.
+
 Load/save/export are pure with respect to the catalog; output is
 byte-identical across runs.
 """
@@ -75,6 +85,8 @@ class _Shape:
     `required` lists keys in the order a missing one is reported. Types:
     "str" (required string), "text" (optional string, default ""), "kind",
     "ids" (optional id array, default []) and "scope" ("all" or an id array).
+    Every required key has a type that refuses the None a missing key
+    reads as, so the fast path tests only for unknown keys.
     """
 
     def __init__(
@@ -84,7 +96,6 @@ class _Shape:
         self.fields = fields
         self.required = required
         self.allowed_keys = frozenset(key for key, _ in fields)
-        self.required_keys = frozenset(required)
         self.order = [field.name for field in dataclasses.fields(entity)]
 
 
@@ -119,13 +130,18 @@ _DEFAULTS = {"text": "", "ids": []}
 # The fast path checks and converts a whole collection one field (column)
 # at a time, builds no message, and raises _Mismatch on anything amiss;
 # _explain then walks the collection again to name the first bad entry.
+# Each converter takes the column and `share`, the `setdefault` of the one
+# dict a `loads` call keeps, so equal id arrays become one frozenset.
 
 
 class _Mismatch(Exception):
     """A collection does not fit its shape; _explain says where."""
 
 
-def _strs(column: list) -> list[str]:
+_DICT = frozenset({dict})
+
+
+def _strs(column: list, share=None) -> list[str]:
     try:
         "".join(column)  # one pass in C: TypeError unless every item is a string
     except TypeError:
@@ -133,49 +149,53 @@ def _strs(column: list) -> list[str]:
     return column
 
 
-def _kinds(column: list) -> list[Kind]:
+def _kinds(column: list, share=None) -> list[Kind]:
     try:
         return [_KINDS[value] for value in column]
     except (KeyError, TypeError):
         raise _Mismatch from None
 
 
-def _ids(value) -> frozenset[str]:
+def _ids(value, share) -> frozenset[str]:
     if type(value) is not list:
         raise _Mismatch
     ids = frozenset(_strs(value))
     if len(ids) != len(value):
         raise _Mismatch
-    return ids
+    return share(ids, ids)
 
 
 _CONVERT = {
     "str": _strs,
     "text": _strs,
     "kind": _kinds,
-    "ids": lambda column: [_ids(value) for value in column],
-    "scope": lambda column: [ALL if value == "all" else _ids(value) for value in column],
+    "ids": lambda column, share: [_ids(value, share) for value in column],
+    "scope": lambda column, share: [
+        ALL if value == "all" else _ids(value, share) for value in column
+    ],
 }
 
 
-def _entities(value, label: str) -> list:
+def _entities(value, label: str, share) -> list:
     """Build the entities of one top-level collection, or raise the
     SchemaError of its first bad entry in document order."""
     shape = _SHAPES[label]
-    allowed, required = shape.allowed_keys, shape.required_keys
     try:
-        if type(value) is not list:
+        if not (
+            type(value) is list
+            and _DICT.issuperset(map(type, value))
+            and all(map(shape.allowed_keys.issuperset, value))
+        ):
             raise _Mismatch
-        for obj in value:
-            if type(obj) is not dict or not (obj.keys() <= allowed and obj.keys() >= required):
-                raise _Mismatch
         columns = {}
         for key, kind in shape.fields:
             column = list(map(dict.get, value, repeat(key), repeat(_DEFAULTS.get(kind))))
-            columns[key] = _CONVERT[kind](column)
+            columns[key] = _CONVERT[kind](column, share)
     except _Mismatch:
         _explain(value, label)
         raise
+    # `loads` popped the collection, so its entries go before the entities are built.
+    del value, column
     return list(map(shape.entity, *(columns[name] for name in shape.order)))
 
 
@@ -241,6 +261,7 @@ def loads(text: str | bytes) -> Catalog:
     refinement.build_graph refuses catalogs that have errors. The document
     holds no reference cycles, so the call pauses the process-wide cyclic
     collector and restores the state it found (enabled or disabled).
+    Equal id arrays of the document become one shared frozenset.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -254,7 +275,9 @@ def loads(text: str | bytes) -> Catalog:
     try:
         try:
             document = json.loads(text)
-            if "\\u" in text:  # only an escape can put a lone surrogate into a string
+            escaped = "\\u" in text  # only an escape can put a lone surrogate into a string
+            del text  # the entities are built without the decoded text beside them
+            if escaped:
                 _check_encodable(json.dumps(document, ensure_ascii=False))
         except json.JSONDecodeError as exc:
             raise ParseError(
@@ -271,8 +294,13 @@ def loads(text: str | bytes) -> Catalog:
         version = document["version"]
         if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
             raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
-        # Collections are built in document order, so the first bad one is reported.
-        return Catalog(version, **{label: _entities(document[label], label) for label in _SHAPES})
+        # Collections are built in document order, so the first bad one is
+        # reported, and each is taken out of the document as it is built.
+        # The dict behind `share` lives only for this call.
+        share = {}.setdefault
+        return Catalog(
+            version, **{label: _entities(document.pop(label), label, share) for label in _SHAPES}
+        )
     finally:
         if enabled:
             gc.enable()
@@ -280,11 +308,15 @@ def loads(text: str | bytes) -> Catalog:
 
 def load(path: str | Path) -> Catalog:
     """Read and parse the catalog file at `path`; `loads` parses text or bytes."""
+    # No name here holds the file's bytes, so they are freed once decoded.
+    return loads(_read(path))
+
+
+def _read(path: str | Path) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads(data)
 
 
 _str = json.encoder.encode_basestring  # the C encoder json.dumps uses per string
@@ -489,12 +521,23 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_lines(view: GraphView):
+    yield f"digraph {view.kind.name.lower()} {{"
+    yield "  rankdir=LR;"
+    yield "  node [shape=box];"
+    for node_id, label in view.nodes:
+        yield f"  {_dot_quote(node_id)} [label={_dot_quote(label)}];"
+    for src, dst in view.edges:
+        yield f"  {_dot_quote(src)} -> {_dot_quote(dst)};"
+    yield "}"
+
+
 def render_dot(view: GraphView) -> str:
     """Render a view as digraph text with deterministic node ordering."""
-    lines = [f"digraph {view.kind.name.lower()} {{", "  rankdir=LR;", "  node [shape=box];"]
-    for node_id, label in view.nodes:
-        lines.append(f"  {_dot_quote(node_id)} [label={_dot_quote(label)}];")
-    for src, dst in view.edges:
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_dot_lines(view)) + "\n"
+
+
+def write_dot(view: GraphView, path) -> None:
+    """Write `render_dot(view)` to `path` as UTF-8, one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(line + "\n" for line in _dot_lines(view))

@@ -74,16 +74,23 @@ def _fold(combine, by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
     return combine(*by_entity.values()) if by_entity else frozenset()
 
 
+_NO_IDS: frozenset[str] = frozenset()
+
+
 def _adjacency(
     nodes: Iterable[str], edges: Iterable[tuple[str, str]]
 ) -> dict[str, frozenset[str]]:
     """Map each node to its direct weaker versions. Only the distinct edges
-    between two different members of `nodes` are kept."""
-    children: dict[str, set[str]] = {node: set() for node in nodes}
+    between two different members of `nodes` are kept, and every node with
+    none maps to one shared empty set."""
+    children: dict[str, frozenset[str]] = dict.fromkeys(nodes, _NO_IDS)
+    below: dict[str, set[str]] = {}
     for stronger, weaker in edges:
         if stronger != weaker and stronger in children and weaker in children:
-            children[stronger].add(weaker)
-    return {node: frozenset(below) for node, below in children.items()}
+            below.setdefault(stronger, set()).add(weaker)
+    for node, weaker in below.items():
+        children[node] = frozenset(weaker)
+    return children
 
 
 def _is_scope(value) -> bool:

@@ -29,6 +29,7 @@ from reqlattice.io import (
     render_dot,
     save,
     save_file,
+    write_dot,
 )
 from reqlattice.model import (
     ALL,
@@ -586,6 +587,61 @@ def test_loads_leaves_no_cyclic_garbage(path):
     gc.collect()
     loads(data)
     assert gc.collect() == 0
+
+
+def _id_arrays(catalog: Catalog) -> list[frozenset[str]]:
+    arrays = [r.jurisdictions for r in catalog.regulations]
+    for r in catalog.requirements:
+        arrays += [r.derived_from, r.human_factors, r.applies_to_products, r.applies_to_jurisdictions]
+    return [ids for ids in arrays if ids is not ALL]
+
+
+def test_equal_id_arrays_of_a_loaded_catalog_are_one_object():
+    for text in (
+        catgen.generate(catgen.TINY["edit"], 11).text(),
+        (DATA / "partial.reqcat.json").read_bytes(),
+    ):
+        arrays = _id_arrays(loads(text))
+        shared = {ids: ids for ids in arrays}
+        assert all(ids is shared[ids] for ids in arrays)
+        assert len(set(map(id, arrays))) == len(shared) < len(arrays)
+
+
+def _views(catalog: Catalog):
+    graph = build_graph(catalog)
+    yield build_view(catalog, graph, ViewKind.GLOBAL)
+    for jurisdiction in catalog.jurisdictions:
+        yield build_view(catalog, graph, ViewKind.COUNTRY_CENTRED, jurisdiction.id)
+    for product in catalog.products:
+        yield build_view(catalog, graph, ViewKind.PRODUCT_CENTRED, product.id)
+
+
+def test_write_dot_writes_the_utf8_of_render_dot(tmp_path):
+    catalogs = [loads(path.read_bytes()) for path in LOADABLE]
+    catalogs += [
+        loads(catgen.generate(shape, seed).text())
+        for shape in catgen.TINY.values()
+        for seed in (11, 12)
+    ]
+    odd = 'Zürich "\\ \u2028 \U0001f600'
+    catalogs.append(
+        Catalog(
+            jurisdictions=[Jurisdiction(odd)],
+            regulations=[Regulation("g")],
+            products=[Product(odd)],
+            requirements=[Requirement(odd, Kind.RL, derived_from={"g"})],
+        )
+    )
+    path = tmp_path / "view.dot"
+    views = 0
+    for catalog in catalogs:
+        if not validate(catalog).ok:
+            continue
+        for view in _views(catalog):
+            write_dot(view, path)
+            assert path.read_bytes() == render_dot(view).encode("utf-8")
+            views += 1
+    assert views > 30
 
 
 def test_country_view_matches_hand_authored_golden_file():
