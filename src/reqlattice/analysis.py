@@ -35,7 +35,6 @@ from .model import (
     Requirement,
     Scope,
     Severity,
-    expand_scope,
 )
 
 
@@ -135,12 +134,12 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
         if req.kind is Kind.RL and regulation_id in req.derived_from
     ]
     affected = RequirementSet(req.id for req in citing)
-    # Expand only the citing requirements' own product scopes: on a freshly
-    # loaded catalog the per-product map, or an index by id, would cost more
-    # than the whole query.
+    # Resolve only the citing requirements' own product scopes: on a freshly
+    # loaded catalog the per-product map, the resolved scope list of every
+    # requirement, or an index by id would cost more than the whole query.
     products = catalog.product_ids
     reached = frozenset().union(
-        *(expand_scope(req.applies_to_products, products) for req in citing)
+        *(products if r.applies_to_products is ALL else r.applies_to_products for r in citing)
     )
     affected_products = tuple(sorted(reached & products))
     jurisdictions = tuple(

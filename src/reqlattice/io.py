@@ -72,7 +72,6 @@ from .model import (
 )
 
 CATALOG_VERSION = 1
-CATALOG_EXTENSION = ".reqcat.json"
 
 _TOP_KEYS = ("version", "jurisdictions", "regulations", "products", "requirements", "refinements")
 _KINDS = {kind.value: kind for kind in Kind}
@@ -298,9 +297,7 @@ def loads(text: str | bytes) -> Catalog:
         # reported, and each is taken out of the document as it is built.
         # The dict behind `share` lives only for this call.
         share = {}.setdefault
-        return Catalog(
-            version, **{label: _entities(document.pop(label), label, share) for label in _SHAPES}
-        )
+        return Catalog(**{label: _entities(document.pop(label), label, share) for label in _SHAPES})
     finally:
         if enabled:
             gc.enable()
@@ -359,7 +356,7 @@ def dumps(catalog: Catalog) -> str:
         for e in catalog.refinements
     ]
     return (
-        f'{{\n  "version": {json.dumps(catalog.version)},\n'
+        f'{{\n  "version": {CATALOG_VERSION},\n'
         f'  "jurisdictions": {_array_text(jurisdictions)},\n'
         f'  "regulations": {_array_text(regulations)},\n'
         f'  "products": {_array_text(products)},\n'

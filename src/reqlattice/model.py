@@ -16,15 +16,17 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import not_
 from typing import Iterable, Iterator, Mapping, Union
 
 
 class AllScope:
     """Singleton marker: a scope covering every entity of the referenced type.
 
-    The marker expands against the catalog's current entity set at query
-    time, so adding a jurisdiction or product widens existing ALL scopes.
+    A `Catalog` resolves the marker to its own entity ids on first use,
+    once per axis (see its resolved scope lists), so a catalog with an added
+    jurisdiction or product widens existing ALL scopes.
     """
 
     _instance: AllScope | None = None
@@ -43,29 +45,27 @@ ALL = AllScope()
 Scope = Union[AllScope, frozenset[str]]
 
 
-def expand_scope(scope: Scope, universe: Iterable[str]) -> frozenset[str]:
-    """Resolve a scope to concrete ids against the current entity universe."""
-    if scope is ALL:
-        return frozenset(universe)
-    return scope
+def _resolve(scopes: Iterable[Scope], universe: frozenset[str]) -> list[frozenset[str]]:
+    """The scopes as id sets, in order: each ALL is `universe` itself, never a copy."""
+    return [universe if scope is ALL else scope for scope in scopes]
 
 
-def _invert(
-    pairs: Iterable[tuple[str, Scope]], universe: Iterable[str]
+def _by_entity(
+    owners: Iterable[Requirement | Regulation],
+    scopes: list[frozenset[str]],
+    entities: Iterable[Product | Jurisdiction],
 ) -> dict[str, frozenset[str]]:
-    """Map each entity of `universe` to the owners whose scope covers it: an
-    ALL owner covers every entity, and ids outside the universe are ignored."""
-    owners: dict[str, set[str]] = {entity: set() for entity in universe}
-    for owner, scope in pairs:
-        if scope is ALL:
-            for ids in owners.values():
-                ids.add(owner)
-            continue
-        for entity in scope:
-            if entity in owners:
-                owners[entity].add(owner)
-    # Pop each set as it is frozen, so no map is ever held twice.
-    return {entity: frozenset(owners.pop(entity)) for entity in list(owners)}
+    """Map each entity's id to the ids of the owners whose resolved scope
+    (`scopes` holds one per owner, in order) holds it."""
+    ids = [owner.id for owner in owners]
+    # `dict.fromkeys` drops a duplicated id and sizes each frozenset's table
+    # to its members, as a copy of a finished set would be.
+    return {
+        entity.id: frozenset(
+            dict.fromkeys(compress(ids, map(frozenset.__contains__, scopes, repeat(entity.id))))
+        )
+        for entity in entities
+    }
 
 
 def _fold(combine, by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
@@ -95,12 +95,6 @@ def _adjacency(
 
 def _is_scope(value) -> bool:
     return value is ALL or type(value) is frozenset
-
-
-def _as_scope(value) -> Scope:
-    if isinstance(value, AllScope):
-        return ALL
-    return frozenset(value)
 
 
 class Kind(str, Enum):
@@ -135,7 +129,7 @@ class Regulation:
 
     def __post_init__(self) -> None:
         if not _is_scope(self.jurisdictions):
-            object.__setattr__(self, "jurisdictions", _as_scope(self.jurisdictions))
+            object.__setattr__(self, "jurisdictions", frozenset(self.jurisdictions))
 
 
 @dataclass(frozen=True)
@@ -173,10 +167,10 @@ class Requirement:
         if type(self.human_factors) is not frozenset:
             object.__setattr__(self, "human_factors", frozenset(self.human_factors))
         if not _is_scope(self.applies_to_products):
-            object.__setattr__(self, "applies_to_products", _as_scope(self.applies_to_products))
+            object.__setattr__(self, "applies_to_products", frozenset(self.applies_to_products))
         if not _is_scope(self.applies_to_jurisdictions):
             object.__setattr__(
-                self, "applies_to_jurisdictions", _as_scope(self.applies_to_jurisdictions)
+                self, "applies_to_jurisdictions", frozenset(self.applies_to_jurisdictions)
             )
 
 
@@ -192,7 +186,6 @@ class RefinementEdge:
 class Catalog:
     """The complete model. Immutable; collections are kept sorted by id."""
 
-    version: int = 1
     jurisdictions: tuple[Jurisdiction, ...] = ()
     regulations: tuple[Regulation, ...] = ()
     products: tuple[Product, ...] = ()
@@ -240,32 +233,43 @@ class Catalog:
         pairs = ((e.stronger, e.weaker) for e in self.refinements)
         return _adjacency(self.requirement_ids, pairs)
 
-    # The scope maps are built here on first use, and `algebra` intersects
-    # and unites their values.  Two readers expand scopes themselves:
-    # `validate`'s RL coverage check, and `analysis.change_impact`, which
-    # expands only the product scopes of the requirements citing the
-    # regulation.  Beside the maps sit four per-axis aggregates: the
-    # requirements on every product, on some product, in every jurisdiction
-    # and in some jurisdiction.  Each is one scan of the requirements' scopes
-    # on its axis, so a construct that reads only aggregates on an axis never
+    # Every scope is resolved here, once per axis: three lists hold, in
+    # collection order, each requirement's product scope, each requirement's
+    # jurisdiction scope and each regulation's jurisdiction scope, with ALL
+    # replaced by the axis's own id set (the same object, never a copy).
+    # The scope maps, `validate`'s RL coverage check and four per-axis
+    # aggregates (the requirements on every product, on some product, in
+    # every jurisdiction and in some jurisdiction) are each a pass over a
+    # list, so a construct that reads only aggregates on an axis never
     # builds that axis's map.  A duplicated id covers the union of its
     # scopes, which can cover every entity when no one scope does; so a
     # catalog with a duplicated id (`validate` refuses it) folds the map for
-    # an "every" aggregate.  A "some" scan needs no such guard: the union
+    # an "every" aggregate.  A "some" pass needs no such guard: the union
     # meets the axis exactly when one of its scopes does.  An axis with no
     # entities has empty aggregates ("every" is not the vacuous universe; the
-    # constructs that need an "every" refuse an empty axis first).  Like the
-    # maps, filling in an aggregate is idempotent.
+    # constructs that need an "every" refuse an empty axis first).
+    # Filling in a list, a map or an aggregate is idempotent.
+
+    @cached_property
+    def _product_scopes(self) -> list[frozenset[str]]:
+        return _resolve((r.applies_to_products for r in self.requirements), self.product_ids)
+
+    @cached_property
+    def _jurisdiction_scopes(self) -> list[frozenset[str]]:
+        scopes = (r.applies_to_jurisdictions for r in self.requirements)
+        return _resolve(scopes, self.jurisdiction_ids)
+
+    @cached_property
+    def _regulation_scopes(self) -> list[frozenset[str]]:
+        return _resolve((r.jurisdictions for r in self.regulations), self.jurisdiction_ids)
 
     @cached_property
     def requirements_by_product(self) -> dict[str, frozenset[str]]:
-        pairs = ((r.id, r.applies_to_products) for r in self.requirements)
-        return _invert(pairs, (p.id for p in self.products))
+        return _by_entity(self.requirements, self._product_scopes, self.products)
 
     @cached_property
     def requirements_by_jurisdiction(self) -> dict[str, frozenset[str]]:
-        pairs = ((r.id, r.applies_to_jurisdictions) for r in self.requirements)
-        return _invert(pairs, (j.id for j in self.jurisdictions))
+        return _by_entity(self.requirements, self._jurisdiction_scopes, self.jurisdictions)
 
     @cached_property
     def requirements_by_kind(self) -> dict[Kind, frozenset[str]]:
@@ -273,45 +277,40 @@ class Catalog:
 
     @cached_property
     def regulations_by_jurisdiction(self) -> dict[str, frozenset[str]]:
-        pairs = ((r.id, r.jurisdictions) for r in self.regulations)
-        return _invert(pairs, (j.id for j in self.jurisdictions))
+        return _by_entity(self.regulations, self._regulation_scopes, self.jurisdictions)
 
     def _covering(
-        self, scopes: list[Scope], universe: frozenset[str], every: bool
+        self, scopes: list[frozenset[str]], universe: frozenset[str], every: bool
     ) -> frozenset[str]:
-        """The ids of the requirements whose scope (`scopes` holds one per
-        requirement, in order) covers every, or some, entity of `universe`."""
+        """The ids of the requirements whose resolved scope (`scopes` holds one
+        per requirement, in order) covers every, or some, entity of `universe`."""
         if not universe:
             return frozenset()
         if every:
-            hits = [scope is ALL or universe <= scope for scope in scopes]
+            hits = map(universe.issubset, scopes)
         else:
-            hits = [scope is ALL or not universe.isdisjoint(scope) for scope in scopes]
+            hits = map(not_, map(universe.isdisjoint, scopes))
         return frozenset(compress([r.id for r in self.requirements], hits))
 
     @cached_property
     def requirements_on_every_product(self) -> frozenset[str]:
         if len(self.requirement_ids) != len(self.requirements):
             return _fold(frozenset.intersection, self.requirements_by_product)
-        scopes = [r.applies_to_products for r in self.requirements]
-        return self._covering(scopes, self.product_ids, every=True)
+        return self._covering(self._product_scopes, self.product_ids, every=True)
 
     @cached_property
     def requirements_on_some_product(self) -> frozenset[str]:
-        scopes = [r.applies_to_products for r in self.requirements]
-        return self._covering(scopes, self.product_ids, every=False)
+        return self._covering(self._product_scopes, self.product_ids, every=False)
 
     @cached_property
     def requirements_in_every_jurisdiction(self) -> frozenset[str]:
         if len(self.requirement_ids) != len(self.requirements):
             return _fold(frozenset.intersection, self.requirements_by_jurisdiction)
-        scopes = [r.applies_to_jurisdictions for r in self.requirements]
-        return self._covering(scopes, self.jurisdiction_ids, every=True)
+        return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=True)
 
     @cached_property
     def requirements_in_some_jurisdiction(self) -> frozenset[str]:
-        scopes = [r.applies_to_jurisdictions for r in self.requirements]
-        return self._covering(scopes, self.jurisdiction_ids, every=False)
+        return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=False)
 
 
 class Severity(str, Enum):
@@ -567,12 +566,11 @@ def validate(catalog: Catalog) -> ValidationReport:
         )
 
     covers: dict[str, frozenset[str]] = {}
-    for reg in catalog.regulations:
-        covers.setdefault(reg.id, expand_scope(reg.jurisdictions, jurisdiction_ids))
-    for req in catalog.requirements:
+    for reg, scope in zip(catalog.regulations, catalog._regulation_scopes):
+        covers.setdefault(reg.id, scope)
+    for req, applicable in zip(catalog.requirements, catalog._jurisdiction_scopes):
         if req.kind is not Kind.RL:
             continue
-        applicable = expand_scope(req.applies_to_jurisdictions, jurisdiction_ids)
         uncovered = applicable.difference(*(covers[r] for r in req.derived_from if r in covers))
         if uncovered:
             uncovered = sorted(uncovered)

@@ -341,7 +341,10 @@ BOTH_MAPS = {BY_PRODUCT, BY_JURISDICTION}
         ),
         pytest.param(lambda c, g: global_union(c), BOTH_MAPS, id="global_union"),
         pytest.param(lambda c, g: strongest_global(c, g), BOTH_MAPS, id="strongest_global"),
-        pytest.param(lambda c, g: change_impact(c, "s1"), BOTH_MAPS, id="change_impact"),
+        # `build_graph` has resolved the jurisdiction scopes for `validate`.
+        pytest.param(
+            lambda c, g: change_impact(c, "s1"), BOTH_MAPS | {"_product_scopes"}, id="change_impact"
+        ),
     ],
 )
 def test_first_question_on_a_fresh_catalog_builds_only_what_it_reads(call, unbuilt):

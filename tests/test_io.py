@@ -77,6 +77,15 @@ def test_version_mismatch_names_the_key():
         loads(json.dumps(doc))
 
 
+def test_the_version_is_a_constant_of_the_file_format():
+    # A catalog has no version of its own, so `save` cannot write one that
+    # `load` refuses.
+    for version in (2, True, "1"):
+        with pytest.raises(TypeError):
+            Catalog(version=version)
+    assert json.loads(save(SMALL))["version"] == 1
+
+
 def test_unknown_and_missing_keys_are_schema_errors():
     doc = json.loads(MINIMAL)
     doc["extra"] = []
@@ -469,7 +478,7 @@ def _plain_dict(catalog: Catalog) -> dict:
         return "all" if value is ALL else sorted(value)
 
     return {
-        "version": catalog.version,
+        "version": 1,
         "jurisdictions": [{"id": j.id, "name": j.name} for j in catalog.jurisdictions],
         "regulations": [
             {"id": r.id, "title": r.title, "jurisdictions": scope(r.jurisdictions)}

@@ -1,10 +1,11 @@
-"""Memory bounds on the benchmark's catalogs, as multiples of the file size.
+"""Memory bounds on the benchmark's catalogs, as multiples of the file size,
+and on resolving the scopes of a catalog scoped `"all"` throughout.
 
 Each bound is traced Python allocation (`tracemalloc`) during one call,
 with at least 20% headroom over what the package needs. A loaded catalog
-shares one frozenset per distinct id array and keeps no decoded text, and
-`export` streams its `.dot` file; a change that gives up any of these
-crosses a bound.
+shares one frozenset per distinct id array and keeps no decoded text,
+`export` streams its `.dot` file, and a resolved `"all"` scope is the
+axis's own id set; a change that gives up any of these crosses a bound.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import tracemalloc
 import catgen  # bench/catgen.py
 from reqlattice import cli
 from reqlattice.io import loads
+from reqlattice.model import Catalog, Jurisdiction, Kind, Product, Regulation, Requirement
 
 
 @functools.cache
@@ -51,3 +53,18 @@ def test_global_export_peak_stays_near_the_file_size(tmp_path, capsys):
     peak, _ = _traced(lambda: cli.main(argv))
     assert capsys.readouterr().out.startswith("nodes: ")
     assert peak <= 8.5 * len(data), f"peak {peak / len(data):.2f}x the file size"
+
+
+def test_resolving_all_scopes_copies_no_axis():
+    catalog = Catalog(
+        jurisdictions=[Jurisdiction(f"C{i:03d}") for i in range(300)],
+        regulations=[Regulation("g")],
+        products=[Product(f"P{i:03d}") for i in range(300)],
+        requirements=[Requirement(f"r{i:04d}", Kind.RL, derived_from={"g"}) for i in range(5000)],
+    )
+    peak, _ = _traced(
+        lambda: (catalog._product_scopes, catalog._jurisdiction_scopes, catalog._regulation_scopes)
+    )
+    # A copy of one axis per requirement would take about 80 MB.
+    assert peak <= 500_000, f"peak {peak / 1e6:.2f} MB"
+    assert all(scope is catalog.product_ids for scope in catalog._product_scopes)

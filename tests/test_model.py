@@ -20,6 +20,7 @@ from reqlattice.model import (
     RL_COVERAGE,
     SELF_EDGE,
     UNKNOWN_REF,
+    AllScope,
     Catalog,
     Jurisdiction,
     Kind,
@@ -31,7 +32,6 @@ from reqlattice.model import (
     Severity,
     _adjacency,
     _cycle_components,
-    expand_scope,
     validate,
 )
 
@@ -68,8 +68,10 @@ def test_all_scope_is_a_singleton_and_expands_at_query_time():
     )
     assert "r_all" in catalog.requirements_by_product["anything"]
     assert "r_a" not in catalog.requirements_by_product["b"]
-    assert expand_scope(ALL, ["x", "y"]) == {"x", "y"}
-    assert expand_scope(frozenset({"a"}), ["x", "y"]) == {"a"}
+    assert AllScope() is ALL and rfn("r").applies_to_products is ALL
+    widened = dataclasses.replace(catalog, products=(*catalog.products, Product("new")))
+    assert widened.requirements_by_product["new"] == {"r_all"}
+    assert widened.requirements_on_every_product == {"r_all"}
 
 
 def test_two_cycle_reports_one_cycle_error():
@@ -410,6 +412,31 @@ def with_duplicated_ids(rng: random.Random, catalog: Catalog) -> Catalog:
     return dataclasses.replace(catalog, requirements=catalog.requirements + tuple(repeats))
 
 
+def uncovered_rl(catalog: Catalog) -> list[tuple[str, ...]]:
+    """Independent oracle for the ids of the RL_COVERAGE warnings, in report
+    order: each jurisdiction an RL requirement names, or each catalog
+    jurisdiction for an ALL scope, that none of its cited regulations names
+    (an ALL regulation names each catalog jurisdiction)."""
+    jids = {j.id for j in catalog.jurisdictions}
+    found = []
+    for req in catalog.requirements:
+        if req.kind is not Kind.RL:
+            continue
+        scope = jids if req.applies_to_jurisdictions is ALL else req.applies_to_jurisdictions
+        uncovered = [
+            jid
+            for jid in sorted(scope)
+            if not any(
+                reg.id in req.derived_from
+                and (jid in jids if reg.jurisdictions is ALL else jid in reg.jurisdictions)
+                for reg in catalog.regulations
+            )
+        ]
+        if uncovered:
+            found.append((req.id, *uncovered))
+    return sorted(found)
+
+
 def every(by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
     return frozenset.intersection(*by_entity.values()) if by_entity else frozenset()
 
@@ -420,7 +447,7 @@ def some(by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
 
 def test_scope_maps_match_a_per_entity_scan():
     rng = random.Random(2718)
-    duplicated = 0
+    duplicated = uncovered = 0
     for trial in range(150):
         catalog = random_catalog(rng)
         if trial % 3 == 1:
@@ -449,6 +476,9 @@ def test_scope_maps_match_a_per_entity_scan():
         assert fresh.requirements_on_some_product == some(by_product)
         assert fresh.requirements_in_every_jurisdiction == every(by_jurisdiction)
         assert fresh.requirements_in_some_jurisdiction == some(by_jurisdiction)
+        warned = [w.ids for w in validate(catalog).warnings if w.code == RL_COVERAGE]
+        assert warned == uncovered_rl(catalog)
+        uncovered += bool(warned)
         if len(catalog.requirement_ids) == len(reqs):
             continue
         # A duplicated id covers the union of its scopes.
@@ -462,4 +492,4 @@ def test_scope_maps_match_a_per_entity_scan():
                 assert general_part(fresh, pid, kind).members == (
                     by_product[pid] & by_kind[kind] & every(by_jurisdiction)
                 )
-    assert duplicated >= 30
+    assert duplicated >= 30 and uncovered >= 30
