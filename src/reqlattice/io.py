@@ -158,7 +158,11 @@ def _kinds(column: list, share=None) -> list[Kind]:
 def _ids(value, share) -> frozenset[str]:
     if type(value) is not list:
         raise _Mismatch
-    ids = frozenset(_strs(value))
+    try:
+        "".join(value)  # as in _strs, inline: this runs once per id array
+    except TypeError:
+        raise _Mismatch from None
+    ids = frozenset(value)
     if len(ids) != len(value):
         raise _Mismatch
     return share(ids, ids)
@@ -274,7 +278,9 @@ def loads(text: str | bytes) -> Catalog:
     try:
         try:
             document = json.loads(text)
-            escaped = "\\u" in text  # only an escape can put a lone surrogate into a string
+            # Only an escape can put a lone surrogate into a string; most
+            # texts hold no backslash, and that test is one memchr.
+            escaped = "\\" in text and "\\u" in text
             del text  # the entities are built without the decoded text beside them
             if escaped:
                 _check_encodable(json.dumps(document, ensure_ascii=False))

@@ -7,17 +7,19 @@ declaring that one requirement is a stronger version of another.
 
 Validation never raises: every violation becomes an entry in the returned
 report, and a catalog is usable by the other modules only when the report
-carries zero errors.
+carries zero errors. The report's errors are found when it is made; its
+warnings are found on first read, so `refinement.build_graph`, which reads
+only the errors, never pays for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import compress, repeat
-from operator import not_
+from functools import cached_property, partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, is_not, not_
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -111,7 +113,7 @@ class Kind(str, Enum):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jurisdiction:
     """A country, state, or organisation with its own regulation set."""
 
@@ -119,7 +121,7 @@ class Jurisdiction:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regulation:
     """A law or standard belonging to one or more jurisdictions."""
 
@@ -132,7 +134,7 @@ class Regulation:
             object.__setattr__(self, "jurisdictions", frozenset(self.jurisdictions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     """A software component or system under development."""
 
@@ -140,7 +142,7 @@ class Product:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Requirement:
     """One requirement with provenance and applicability scopes.
 
@@ -174,7 +176,7 @@ class Requirement:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefinementEdge:
     """Declares that `stronger` subsumes `weaker` (weaker is a weaker version)."""
 
@@ -347,12 +349,24 @@ class Issue:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    errors: tuple[Issue, ...] = ()
-    warnings: tuple[Issue, ...] = ()
+    """What `validate` found in `catalog`, each list sorted by `Issue.sort_key`.
+
+    The errors are found when the report is made. The warnings are found on
+    first read of `warnings`, in one pass, and kept; `ok` and `errors` never
+    run that pass, so `refinement.build_graph` never reads them. The catalog
+    takes no part in equality or repr.
+    """
+
+    errors: tuple[Issue, ...]
+    catalog: Catalog = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    @cached_property
+    def warnings(self) -> tuple[Issue, ...]:
+        return _find_warnings(self.catalog)
 
 
 def _error(code: str, message: str, ids: tuple[str, ...]) -> Issue:
@@ -395,6 +409,71 @@ def _check_refs(
             )
 
 
+_explicit = partial(is_not, ALL)
+
+
+def _known(ids: frozenset[str], scopes: Iterable[Scope]) -> bool:
+    """Whether `ids` holds every id of every explicit scope."""
+    return all(map(ids.issuperset, filter(_explicit, scopes)))
+
+
+def _check_regulations(catalog: Catalog, issues: list[Issue]) -> None:
+    """Report every regulation with an empty or unknown jurisdiction. Two
+    C-level passes check the whole collection; the loop that names the
+    culprits runs only when one fails."""
+    jurisdiction_ids = catalog.jurisdiction_ids
+    scopes = list(map(attrgetter("jurisdictions"), catalog.regulations))
+    if all(scopes) and _known(jurisdiction_ids, scopes):  # ALL is never empty
+        return
+    for reg in catalog.regulations:
+        if reg.jurisdictions is not ALL:
+            if not reg.jurisdictions:
+                issues.append(
+                    _error(
+                        EMPTY_SCOPE,
+                        f"regulation {reg.id} belongs to no jurisdiction",
+                        (reg.id,),
+                    )
+                )
+            _check_refs(reg.id, reg.jurisdictions, jurisdiction_ids, "jurisdiction", issues)
+
+
+def _check_requirements(catalog: Catalog, issues: list[Issue]) -> None:
+    """Report every requirement whose fields do not fit its kind or that
+    names an unknown regulation, product or jurisdiction. A few C-level
+    passes check each field over the whole collection; the loop that names
+    the culprits, in the order it always has, runs only when one fails."""
+    requirements = catalog.requirements
+    is_rl = list(map(is_, map(attrgetter("kind"), requirements), repeat(Kind.RL)))
+    derived = list(map(attrgetter("derived_from"), requirements))
+    if (
+        all(compress(derived, is_rl))
+        and not any(compress(map(attrgetter("human_factors"), requirements), is_rl))
+        and not any(compress(derived, map(not_, is_rl)))
+        and all(map(catalog.regulation_ids.issuperset, derived))
+        and _known(catalog.product_ids, map(attrgetter("applies_to_products"), requirements))
+        and _known(
+            catalog.jurisdiction_ids, map(attrgetter("applies_to_jurisdictions"), requirements)
+        )
+    ):
+        return
+    for req in requirements:
+        problems = _kind_problems(req)
+        if problems:
+            issues.append(_error(KIND_FIELDS, f"{req.id}: " + "; ".join(problems), (req.id,)))
+        _check_refs(req.id, req.derived_from, catalog.regulation_ids, "regulation", issues)
+        if req.applies_to_products is not ALL:
+            _check_refs(req.id, req.applies_to_products, catalog.product_ids, "product", issues)
+        if req.applies_to_jurisdictions is not ALL:
+            _check_refs(
+                req.id,
+                req.applies_to_jurisdictions,
+                catalog.jurisdiction_ids,
+                "jurisdiction",
+                issues,
+            )
+
+
 def _kind_problems(req: Requirement) -> list[str]:
     problems = []
     if req.kind is Kind.RL:
@@ -419,7 +498,7 @@ def _cycle_components(children: Mapping[str, frozenset[str]]) -> list[list[str]]
     then runs on what remains, which is nothing for an acyclic edge set.
     A node left with an incoming edge has only such nodes as children.
     """
-    indegree = Counter(child for below in children.values() for child in below)
+    indegree = Counter(chain.from_iterable(children.values()))
     ready = [node for node in children if node not in indegree]
     while ready:
         for child in children[ready.pop()]:
@@ -506,55 +585,22 @@ def validate(catalog: Catalog) -> ValidationReport:
     """Check every catalog invariant and report all violations.
 
     Violations are data, not exceptions. The report ordering is
-    deterministic: issues sorted by code, then by offending ids.
+    deterministic: issues sorted by code, then by offending ids. The
+    warnings are found when the report's `warnings` is first read.
     """
     errors: list[Issue] = []
-    warnings: list[Issue] = []
 
-    jurisdiction_ids = catalog.jurisdiction_ids
-    regulation_ids = catalog.regulation_ids
-    product_ids = catalog.product_ids
-    requirement_ids = catalog.requirement_ids
-
-    _check_ids(catalog.jurisdictions, jurisdiction_ids, "jurisdiction", errors)
-    _check_ids(catalog.regulations, regulation_ids, "regulation", errors)
-    _check_ids(catalog.products, product_ids, "product", errors)
-    _check_ids(catalog.requirements, requirement_ids, "requirement", errors)
-
-    for reg in catalog.regulations:
-        if reg.jurisdictions is not ALL:
-            if not reg.jurisdictions:
-                errors.append(
-                    _error(
-                        EMPTY_SCOPE,
-                        f"regulation {reg.id} belongs to no jurisdiction",
-                        (reg.id,),
-                    )
-                )
-            _check_refs(reg.id, reg.jurisdictions, jurisdiction_ids, "jurisdiction", errors)
-
-    for req in catalog.requirements:
-        problems = _kind_problems(req)
-        if problems:
-            errors.append(
-                _error(KIND_FIELDS, f"{req.id}: " + "; ".join(problems), (req.id,))
-            )
-        _check_refs(req.id, req.derived_from, regulation_ids, "regulation", errors)
-        if req.applies_to_products is not ALL:
-            _check_refs(req.id, req.applies_to_products, product_ids, "product", errors)
-        if req.applies_to_jurisdictions is not ALL:
-            _check_refs(
-                req.id, req.applies_to_jurisdictions, jurisdiction_ids, "jurisdiction", errors
-            )
-        if not req.applies_to_products or not req.applies_to_jurisdictions:
-            warnings.append(
-                _warning(EMPTY_SCOPE, f"requirement {req.id} has an empty scope", (req.id,))
-            )
+    _check_ids(catalog.jurisdictions, catalog.jurisdiction_ids, "jurisdiction", errors)
+    _check_ids(catalog.regulations, catalog.regulation_ids, "regulation", errors)
+    _check_ids(catalog.products, catalog.product_ids, "product", errors)
+    _check_ids(catalog.requirements, catalog.requirement_ids, "requirement", errors)
+    _check_regulations(catalog, errors)
+    _check_requirements(catalog, errors)
 
     children = catalog.refinement_children
     # The index keeps every edge only if none is duplicated, self-looped or dangling.
     if sum(map(len, children.values())) != len(catalog.refinements):
-        _check_edges(catalog.refinements, requirement_ids, errors)
+        _check_edges(catalog.refinements, catalog.requirement_ids, errors)
 
     for component in _cycle_components(children):
         errors.append(
@@ -565,10 +611,22 @@ def validate(catalog: Catalog) -> ValidationReport:
             )
         )
 
+    return ValidationReport(tuple(sorted(errors, key=Issue.sort_key)), catalog)
+
+
+def _find_warnings(catalog: Catalog) -> tuple[Issue, ...]:
+    """The EMPTY_SCOPE and RL_COVERAGE warnings, in one pass over the
+    requirements. A regulation id that occurs twice covers the union of its
+    scopes, as in `Catalog.regulations_by_jurisdiction`."""
     covers: dict[str, frozenset[str]] = {}
     for reg, scope in zip(catalog.regulations, catalog._regulation_scopes):
-        covers.setdefault(reg.id, scope)
+        covers[reg.id] = covers[reg.id] | scope if reg.id in covers else scope
+    warnings: list[Issue] = []
     for req, applicable in zip(catalog.requirements, catalog._jurisdiction_scopes):
+        if not req.applies_to_products or not req.applies_to_jurisdictions:
+            warnings.append(
+                _warning(EMPTY_SCOPE, f"requirement {req.id} has an empty scope", (req.id,))
+            )
         if req.kind is not Kind.RL:
             continue
         uncovered = applicable.difference(*(covers[r] for r in req.derived_from if r in covers))
@@ -582,8 +640,4 @@ def validate(catalog: Catalog) -> ValidationReport:
                     (req.id, *uncovered),
                 )
             )
-
-    return ValidationReport(
-        errors=tuple(sorted(errors, key=Issue.sort_key)),
-        warnings=tuple(sorted(warnings, key=Issue.sort_key)),
-    )
+    return tuple(sorted(warnings, key=Issue.sort_key))

@@ -341,9 +341,11 @@ BOTH_MAPS = {BY_PRODUCT, BY_JURISDICTION}
         ),
         pytest.param(lambda c, g: global_union(c), BOTH_MAPS, id="global_union"),
         pytest.param(lambda c, g: strongest_global(c, g), BOTH_MAPS, id="strongest_global"),
-        # `build_graph` has resolved the jurisdiction scopes for `validate`.
+        # `build_graph` reads no warnings, so no requirement scope is resolved.
         pytest.param(
-            lambda c, g: change_impact(c, "s1"), BOTH_MAPS | {"_product_scopes"}, id="change_impact"
+            lambda c, g: change_impact(c, "s1"),
+            BOTH_MAPS | {"_product_scopes", "_jurisdiction_scopes"},
+            id="change_impact",
         ),
     ],
 )

@@ -13,7 +13,8 @@ from reqlattice import cli, model
 from reqlattice.algebra import requirements_for
 from reqlattice.cli import main
 from reqlattice.errors import ReqlatticeError
-from reqlattice.io import save_file
+from reqlattice.io import load, save_file
+from reqlattice.refinement import build_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -455,6 +456,37 @@ def test_every_command_indexes_the_refinement_edges_exactly_once(capsys, monkeyp
             capsys.readouterr()
             assert code == (0 if catalog == PARTIAL else 1), argv
             assert len(calls) == 1, argv
+
+
+def test_only_validate_looks_for_warnings(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = model._find_warnings
+
+    def counting_find_warnings(catalog):
+        calls.append(catalog)
+        return original(catalog)
+
+    monkeypatch.setattr(model, "_find_warnings", counting_find_warnings)
+    build_graph(load(PARTIAL))
+    assert calls == []
+    out = str(tmp_path / "view.dot")
+    for catalog in (PARTIAL, CYCLE):
+        for argv, expected in (
+            (["validate", catalog], 1),
+            (["validate", catalog, "--json"], 1),
+            (["sets", catalog, "--product", "P1", "--json"], 0),
+            (["sets", catalog, "--jurisdiction", "C1", "--min"], 0),
+            (["optimize", catalog, "--global"], 0),
+            (["classify", catalog], 0),
+            (["impact", catalog, "--regulation", "g"], 0),
+            (["export", catalog, "--view", "global", "--out", out], 0),
+            (["export", catalog, "--view", "country", "--focus", "C1", "--out", out], 0),
+        ):
+            calls.clear()
+            code = main(argv)
+            capsys.readouterr()
+            assert code == (0 if catalog == PARTIAL else 1), argv
+            assert len(calls) == expected, argv
 
 
 def test_export_global_view_with_colliding_joined_ids_exits_zero(capsys, tmp_path):

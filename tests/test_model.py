@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,50 @@ def test_all_scoped_regulation_covers_every_jurisdiction():
     assert validate(catalog).warnings == ()
 
 
+def test_duplicated_regulation_id_covers_the_union_of_its_scopes():
+    catalog = Catalog(
+        jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
+        regulations=[
+            Regulation("g", jurisdictions={"C1"}),
+            Regulation("g", jurisdictions={"C2"}),
+        ],
+        requirements=[
+            Requirement("r1", Kind.RL, derived_from={"g"}, applies_to_jurisdictions={"C1", "C2"})
+        ],
+    )
+    report = validate(catalog)
+    assert [(issue.code, issue.ids) for issue in report.errors] == [(DUP_ID, ("g",))]
+    assert report.warnings == ()
+    assert catalog.regulations_by_jurisdiction == {"C1": {"g"}, "C2": {"g"}}
+
+
+def test_warnings_are_found_on_first_read_and_kept():
+    catalog = Catalog(
+        jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
+        regulations=[Regulation("s1", jurisdictions={"C1"})],
+        requirements=[Requirement("r1", Kind.RL, derived_from={"s1"})],
+    )
+    report = validate(catalog)
+    assert "warnings" not in vars(report)
+    assert report.ok and "warnings" not in vars(report)
+    assert report.warnings is report.warnings
+    assert codes(report.warnings) == [RL_COVERAGE]
+    # The catalog is not part of the report's value.
+    assert report == validate(Catalog()) and "catalog" not in repr(report)
+
+
+def test_entities_hold_no_instance_dict():
+    for entity in (
+        Jurisdiction("C1"),
+        Regulation("g"),
+        Product("P1"),
+        rfn("r1"),
+        RefinementEdge("a", "b"),
+    ):
+        assert not hasattr(entity, "__dict__"), type(entity)
+    assert dataclasses.replace(rfn("r1"), kind="rl").kind is Kind.RL
+
+
 def test_report_ordering_is_sorted_by_code_then_ids():
     catalog = Catalog(
         requirements=[rfn("a"), rfn("b"), Requirement("c", Kind.RL), Requirement("d", Kind.RL)],
@@ -435,6 +480,109 @@ def uncovered_rl(catalog: Catalog) -> list[tuple[str, ...]]:
         if uncovered:
             found.append((req.id, *uncovered))
     return sorted(found)
+
+
+# One fault each that `validate` checks per entity; an empty requirement scope
+# is a warning, not an error. Every `random_catalog` has reg01, P1 and C1.
+REQUIREMENT_FAULTS = {
+    "rl-cites-nothing": dict(kind=Kind.RL, derived_from=()),
+    "rl-tagged": dict(kind=Kind.RL, human_factors={"locale"}),
+    "rfn-cites": dict(kind=Kind.RFN, human_factors=(), derived_from={"reg01"}),
+    "unknown-regulation": dict(kind=Kind.RL, human_factors=(), derived_from={"reg01", "ghost"}),
+    "unknown-product": dict(applies_to_products={"P1", "ghost"}),
+    "unknown-jurisdiction": dict(applies_to_jurisdictions={"ghost"}),
+    "empty-requirement-scope": dict(applies_to_products=()),
+}
+REGULATION_FAULTS = {
+    "empty-regulation-scope": dict(jurisdictions=()),
+    "unknown-regulation-jurisdiction": dict(jurisdictions={"C1", "ghost"}),
+}
+FAULTS = [*REQUIREMENT_FAULTS, *REGULATION_FAULTS]
+
+
+def with_fault(rng: random.Random, catalog: Catalog, fault: str) -> Catalog:
+    """Give about a fifth of the requirements, or of the regulations, `fault`."""
+
+    def spoil(entities, changes):
+        return [dataclasses.replace(e, **changes) if rng.random() < 0.2 else e for e in entities]
+
+    if fault in REGULATION_FAULTS:
+        regulations = spoil(catalog.regulations, REGULATION_FAULTS[fault])
+        return dataclasses.replace(catalog, regulations=regulations)
+    requirements = spoil(catalog.requirements, REQUIREMENT_FAULTS[fault])
+    return dataclasses.replace(catalog, requirements=requirements)
+
+
+def reference_errors(catalog: Catalog) -> list[Issue]:
+    """Independent oracle for `validate`'s errors on a catalog with non-empty
+    ids and sound refinement edges: one loop per collection, every entity
+    checked on its own, sorted as `validate` sorts them."""
+    found = []
+
+    def error(code, message, ids):
+        found.append(Issue(Severity.ERROR, code, message, ids))
+
+    for label, entities in (
+        ("jurisdiction", catalog.jurisdictions),
+        ("regulation", catalog.regulations),
+        ("product", catalog.products),
+        ("requirement", catalog.requirements),
+    ):
+        seen = set()
+        for entity in entities:
+            if entity.id in seen:
+                error(DUP_ID, f"duplicate {label} id: {entity.id}", (entity.id,))
+            seen.add(entity.id)
+    found = list({issue: None for issue in found})  # one per duplicated id
+    jids, pids = catalog.jurisdiction_ids, catalog.product_ids
+    for reg in catalog.regulations:
+        if reg.jurisdictions is ALL:
+            continue
+        if not reg.jurisdictions:
+            error(EMPTY_SCOPE, f"regulation {reg.id} belongs to no jurisdiction", (reg.id,))
+        for ref in sorted(reg.jurisdictions - jids):
+            error(UNKNOWN_REF, f"{reg.id} references unknown jurisdiction: {ref}", (reg.id, ref))
+    for req in catalog.requirements:
+        problems = []
+        if req.kind is Kind.RL and not req.derived_from:
+            problems.append("RL requirement must cite at least one regulation")
+        if req.kind is Kind.RL and req.human_factors:
+            problems.append("RL requirement must not carry human-factor tags")
+        if req.kind is Kind.RFN and req.derived_from:
+            problems.append("RFN requirement must not cite regulations")
+        if problems:
+            error(KIND_FIELDS, f"{req.id}: " + "; ".join(problems), (req.id,))
+        for what, refs, known in (
+            ("regulation", req.derived_from, catalog.regulation_ids),
+            ("product", req.applies_to_products, pids),
+            ("jurisdiction", req.applies_to_jurisdictions, jids),
+        ):
+            for ref in [] if refs is ALL else sorted(refs - known):
+                error(UNKNOWN_REF, f"{req.id} references unknown {what}: {ref}", (req.id, ref))
+    return sorted(found, key=Issue.sort_key)
+
+
+def test_validate_errors_match_a_per_entity_loop():
+    rng = random.Random(1414)
+    clean = 0
+    faulty = Counter()
+    for trial in range(360):
+        catalog = random_catalog(rng)
+        fault = FAULTS[trial // 2 % len(FAULTS)] if trial % 2 == 0 else None
+        if trial % 5 == 1:
+            catalog = with_foreign_ids(rng, catalog)
+        if fault:
+            catalog = with_fault(rng, catalog, fault)
+        if trial % 4 == 0:
+            catalog = with_duplicated_ids(rng, catalog)
+        want = reference_errors(catalog)
+        assert list(validate(catalog).errors) == want
+        if all(issue.code == DUP_ID for issue in want):
+            clean += 1
+        elif trial % 5 != 1:
+            faulty[fault] += 1  # this fault alone fails a field check
+    assert clean >= 60
+    assert all(faulty[fault] >= 5 for fault in FAULTS if fault != "empty-requirement-scope")
 
 
 def every(by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
