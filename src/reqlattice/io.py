@@ -158,11 +158,7 @@ def _kinds(column: list, share=None) -> list[Kind]:
 def _ids(value, share) -> frozenset[str]:
     if type(value) is not list:
         raise _Mismatch
-    try:
-        "".join(value)  # as in _strs, inline: this runs once per id array
-    except TypeError:
-        raise _Mismatch from None
-    ids = frozenset(value)
+    ids = frozenset(_strs(value))
     if len(ids) != len(value):
         raise _Mismatch
     return share(ids, ids)

@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, is_not, not_
+from operator import not_
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -347,18 +347,21 @@ class Issue:
         return (self.code, self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """What `validate` found in `catalog`, each list sorted by `Issue.sort_key`.
 
+    Reports are made by `validate`, the only caller that passes the catalog.
     The errors are found when the report is made. The warnings are found on
     first read of `warnings`, in one pass, and kept; `ok` and `errors` never
-    run that pass, so `refinement.build_graph` never reads them. The catalog
-    takes no part in equality or repr.
+    run that pass, so `refinement.build_graph` never reads them. Two reports
+    are equal when their errors and warnings are, so comparing them runs the
+    pass; the hash covers the errors only, and the catalog takes no part in
+    equality, hash or repr.
     """
 
     errors: tuple[Issue, ...]
-    catalog: Catalog = field(compare=False, repr=False)
+    catalog: Catalog = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -367,6 +370,14 @@ class ValidationReport:
     @cached_property
     def warnings(self) -> tuple[Issue, ...]:
         return _find_warnings(self.catalog)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return self.errors == other.errors and self.warnings == other.warnings
+
+    def __hash__(self) -> int:
+        return hash(self.errors)
 
 
 def _error(code: str, message: str, ids: tuple[str, ...]) -> Issue:
@@ -406,71 +417,6 @@ def _check_refs(
                     f"{owner_id} references unknown {what}: {ref}",
                     (owner_id, ref),
                 )
-            )
-
-
-_explicit = partial(is_not, ALL)
-
-
-def _known(ids: frozenset[str], scopes: Iterable[Scope]) -> bool:
-    """Whether `ids` holds every id of every explicit scope."""
-    return all(map(ids.issuperset, filter(_explicit, scopes)))
-
-
-def _check_regulations(catalog: Catalog, issues: list[Issue]) -> None:
-    """Report every regulation with an empty or unknown jurisdiction. Two
-    C-level passes check the whole collection; the loop that names the
-    culprits runs only when one fails."""
-    jurisdiction_ids = catalog.jurisdiction_ids
-    scopes = list(map(attrgetter("jurisdictions"), catalog.regulations))
-    if all(scopes) and _known(jurisdiction_ids, scopes):  # ALL is never empty
-        return
-    for reg in catalog.regulations:
-        if reg.jurisdictions is not ALL:
-            if not reg.jurisdictions:
-                issues.append(
-                    _error(
-                        EMPTY_SCOPE,
-                        f"regulation {reg.id} belongs to no jurisdiction",
-                        (reg.id,),
-                    )
-                )
-            _check_refs(reg.id, reg.jurisdictions, jurisdiction_ids, "jurisdiction", issues)
-
-
-def _check_requirements(catalog: Catalog, issues: list[Issue]) -> None:
-    """Report every requirement whose fields do not fit its kind or that
-    names an unknown regulation, product or jurisdiction. A few C-level
-    passes check each field over the whole collection; the loop that names
-    the culprits, in the order it always has, runs only when one fails."""
-    requirements = catalog.requirements
-    is_rl = list(map(is_, map(attrgetter("kind"), requirements), repeat(Kind.RL)))
-    derived = list(map(attrgetter("derived_from"), requirements))
-    if (
-        all(compress(derived, is_rl))
-        and not any(compress(map(attrgetter("human_factors"), requirements), is_rl))
-        and not any(compress(derived, map(not_, is_rl)))
-        and all(map(catalog.regulation_ids.issuperset, derived))
-        and _known(catalog.product_ids, map(attrgetter("applies_to_products"), requirements))
-        and _known(
-            catalog.jurisdiction_ids, map(attrgetter("applies_to_jurisdictions"), requirements)
-        )
-    ):
-        return
-    for req in requirements:
-        problems = _kind_problems(req)
-        if problems:
-            issues.append(_error(KIND_FIELDS, f"{req.id}: " + "; ".join(problems), (req.id,)))
-        _check_refs(req.id, req.derived_from, catalog.regulation_ids, "regulation", issues)
-        if req.applies_to_products is not ALL:
-            _check_refs(req.id, req.applies_to_products, catalog.product_ids, "product", issues)
-        if req.applies_to_jurisdictions is not ALL:
-            _check_refs(
-                req.id,
-                req.applies_to_jurisdictions,
-                catalog.jurisdiction_ids,
-                "jurisdiction",
-                issues,
             )
 
 
@@ -590,17 +536,46 @@ def validate(catalog: Catalog) -> ValidationReport:
     """
     errors: list[Issue] = []
 
-    _check_ids(catalog.jurisdictions, catalog.jurisdiction_ids, "jurisdiction", errors)
-    _check_ids(catalog.regulations, catalog.regulation_ids, "regulation", errors)
-    _check_ids(catalog.products, catalog.product_ids, "product", errors)
-    _check_ids(catalog.requirements, catalog.requirement_ids, "requirement", errors)
-    _check_regulations(catalog, errors)
-    _check_requirements(catalog, errors)
+    jurisdiction_ids = catalog.jurisdiction_ids
+    regulation_ids = catalog.regulation_ids
+    product_ids = catalog.product_ids
+    requirement_ids = catalog.requirement_ids
+
+    _check_ids(catalog.jurisdictions, jurisdiction_ids, "jurisdiction", errors)
+    _check_ids(catalog.regulations, regulation_ids, "regulation", errors)
+    _check_ids(catalog.products, product_ids, "product", errors)
+    _check_ids(catalog.requirements, requirement_ids, "requirement", errors)
+
+    for reg in catalog.regulations:
+        if reg.jurisdictions is not ALL:
+            if not reg.jurisdictions:
+                errors.append(
+                    _error(
+                        EMPTY_SCOPE,
+                        f"regulation {reg.id} belongs to no jurisdiction",
+                        (reg.id,),
+                    )
+                )
+            _check_refs(reg.id, reg.jurisdictions, jurisdiction_ids, "jurisdiction", errors)
+
+    for req in catalog.requirements:
+        problems = _kind_problems(req)
+        if problems:
+            errors.append(
+                _error(KIND_FIELDS, f"{req.id}: " + "; ".join(problems), (req.id,))
+            )
+        _check_refs(req.id, req.derived_from, regulation_ids, "regulation", errors)
+        if req.applies_to_products is not ALL:
+            _check_refs(req.id, req.applies_to_products, product_ids, "product", errors)
+        if req.applies_to_jurisdictions is not ALL:
+            _check_refs(
+                req.id, req.applies_to_jurisdictions, jurisdiction_ids, "jurisdiction", errors
+            )
 
     children = catalog.refinement_children
     # The index keeps every edge only if none is duplicated, self-looped or dangling.
     if sum(map(len, children.values())) != len(catalog.refinements):
-        _check_edges(catalog.refinements, catalog.requirement_ids, errors)
+        _check_edges(catalog.refinements, requirement_ids, errors)
 
     for component in _cycle_components(children):
         errors.append(

@@ -250,18 +250,23 @@ def test_duplicated_regulation_id_covers_the_union_of_its_scopes():
 
 
 def test_warnings_are_found_on_first_read_and_kept():
-    catalog = Catalog(
-        jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
-        regulations=[Regulation("s1", jurisdictions={"C1"})],
-        requirements=[Requirement("r1", Kind.RL, derived_from={"s1"})],
-    )
-    report = validate(catalog)
+    def make() -> Catalog:
+        return Catalog(
+            jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
+            regulations=[Regulation("s1", jurisdictions={"C1"})],
+            requirements=[Requirement("r1", Kind.RL, derived_from={"s1"})],
+        )
+
+    report = validate(make())
     assert "warnings" not in vars(report)
     assert report.ok and "warnings" not in vars(report)
     assert report.warnings is report.warnings
     assert codes(report.warnings) == [RL_COVERAGE]
-    # The catalog is not part of the report's value.
-    assert report == validate(Catalog()) and "catalog" not in repr(report)
+    # Equality covers errors and warnings; the catalog is not part of the value.
+    twin = validate(make())
+    assert report == twin and hash(report) == hash(twin)
+    assert report != validate(Catalog()) and hash(report) == hash(validate(Catalog()))
+    assert "catalog" not in repr(report)
 
 
 def test_entities_hold_no_instance_dict():
