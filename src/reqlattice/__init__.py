@@ -62,6 +62,7 @@ from .model import (
     Requirement,
     Severity,
     ValidationReport,
+    find_warnings,
     validate,
 )
 from .refinement import (

@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .analysis import change_impact, classify_overlap, consistency_diagnostics
 from .errors import CatalogInvalidError, ReqlatticeError
-from .model import Catalog, Issue, Kind, Severity, validate
+from .model import Catalog, Issue, Kind, Severity, find_warnings, validate
 from .refinement import RefinementGraph, build_graph, optimize, witnesses
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:
 def cmd_validate(args: argparse.Namespace) -> int:
     catalog = catalog_io.load(args.catalog)
     report = validate(catalog)
-    warnings = list(report.warnings)
+    warnings = list(find_warnings(catalog))
     if report.ok:
         warnings.extend(consistency_diagnostics(catalog))
     if args.json:

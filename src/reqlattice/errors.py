@@ -16,7 +16,8 @@ class EmptyCatalogError(ReqlatticeError):
 class CatalogInvalidError(ReqlatticeError):
     """An operation requires a catalog that validates with zero errors.
 
-    `report` is the failing ValidationReport.
+    `report` is the failing ValidationReport: its errors, and no reference
+    to the refused catalog.
     """
 
     def __init__(self, message: str, report) -> None:

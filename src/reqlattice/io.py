@@ -3,9 +3,10 @@
 Catalog files are single UTF-8 JSON documents (extension `.reqcat.json`)
 with exactly the top-level keys version, jurisdictions, regulations,
 products, requirements, refinements. The schema is strict: unknown keys,
-wrong types, and a version other than 1 are rejected, because compliance
-data should fail loudly rather than silently drop fields. An ALL scope is
-written as the literal string "all" in place of an id array.
+a key repeated within one object, wrong types, and a version other than 1
+are rejected, because compliance data should fail loudly rather than
+silently drop fields. An ALL scope is written as the literal string "all"
+in place of an id array.
 
 `save` is canonical: fixed key order, arrays sorted by id, inner id lists
 sorted, 2-space indentation, trailing newline. Loading a saved catalog
@@ -246,6 +247,20 @@ def _explain(value, label: str) -> None:
             _check_value(obj.get(key, _DEFAULTS.get(kind)), kind, f"{where}.{key}")
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """One decoded JSON object. `json` would keep only the last value of a
+    repeated key, so a repeated key is refused instead."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                # Not a ValueError, so `loads` lets it through as it is.
+                raise SchemaError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _check_encodable(text: str) -> None:
     try:
         text.encode("utf-8")
@@ -260,7 +275,8 @@ def loads(text: str | bytes) -> Catalog:
     refinement.build_graph refuses catalogs that have errors. The document
     holds no reference cycles, so the call pauses the process-wide cyclic
     collector and restores the state it found (enabled or disabled).
-    Equal id arrays of the document become one shared frozenset.
+    Equal id arrays of the document become one shared frozenset. An object
+    that repeats a key is a SchemaError that names the key.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -273,7 +289,7 @@ def loads(text: str | bytes) -> Catalog:
     gc.disable()
     try:
         try:
-            document = json.loads(text)
+            document = json.loads(text, object_pairs_hook=_object)
             # Only an escape can put a lone surrogate into a string; most
             # texts hold no backslash, and that test is one memchr.
             escaped = "\\" in text and "\\u" in text

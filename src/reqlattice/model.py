@@ -7,15 +7,15 @@ declaring that one requirement is a stronger version of another.
 
 Validation never raises: every violation becomes an entry in the returned
 report, and a catalog is usable by the other modules only when the report
-carries zero errors. The report's errors are found when it is made; its
-warnings are found on first read, so `refinement.build_graph`, which reads
-only the errors, never pays for them.
+carries zero errors. The advisory warnings are a separate pass,
+`find_warnings`, so `refinement.build_graph`, which needs only the errors,
+never pays for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -320,7 +320,7 @@ class Severity(str, Enum):
     WARNING = "WARNING"
 
 
-# Issue codes emitted by validate().
+# Issue codes emitted by validate() and find_warnings().
 DUP_ID = "DUP_ID"
 DUP_EDGE = "DUP_EDGE"
 EMPTY_ID = "EMPTY_ID"
@@ -347,37 +347,16 @@ class Issue:
         return (self.code, self.ids)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ValidationReport:
-    """What `validate` found in `catalog`, each list sorted by `Issue.sort_key`.
+    """The errors `validate` found, sorted by `Issue.sort_key`; `find_warnings`
+    finds the warnings."""
 
-    Reports are made by `validate`, the only caller that passes the catalog.
-    The errors are found when the report is made. The warnings are found on
-    first read of `warnings`, in one pass, and kept; `ok` and `errors` never
-    run that pass, so `refinement.build_graph` never reads them. Two reports
-    are equal when their errors and warnings are, so comparing them runs the
-    pass; the hash covers the errors only, and the catalog takes no part in
-    equality, hash or repr.
-    """
-
-    errors: tuple[Issue, ...]
-    catalog: Catalog = field(repr=False)
+    errors: tuple[Issue, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    @cached_property
-    def warnings(self) -> tuple[Issue, ...]:
-        return _find_warnings(self.catalog)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValidationReport):
-            return NotImplemented
-        return self.errors == other.errors and self.warnings == other.warnings
-
-    def __hash__(self) -> int:
-        return hash(self.errors)
 
 
 def _error(code: str, message: str, ids: tuple[str, ...]) -> Issue:
@@ -531,8 +510,7 @@ def validate(catalog: Catalog) -> ValidationReport:
     """Check every catalog invariant and report all violations.
 
     Violations are data, not exceptions. The report ordering is
-    deterministic: issues sorted by code, then by offending ids. The
-    warnings are found when the report's `warnings` is first read.
+    deterministic: issues sorted by code, then by offending ids.
     """
     errors: list[Issue] = []
 
@@ -586,13 +564,13 @@ def validate(catalog: Catalog) -> ValidationReport:
             )
         )
 
-    return ValidationReport(tuple(sorted(errors, key=Issue.sort_key)), catalog)
+    return ValidationReport(tuple(sorted(errors, key=Issue.sort_key)))
 
 
-def _find_warnings(catalog: Catalog) -> tuple[Issue, ...]:
-    """The EMPTY_SCOPE and RL_COVERAGE warnings, in one pass over the
-    requirements. A regulation id that occurs twice covers the union of its
-    scopes, as in `Catalog.regulations_by_jurisdiction`."""
+def find_warnings(catalog: Catalog) -> tuple[Issue, ...]:
+    """The EMPTY_SCOPE and RL_COVERAGE warnings, sorted by `Issue.sort_key`,
+    in one pass over the requirements. A regulation id that occurs twice
+    covers the union of its scopes, as in `Catalog.regulations_by_jurisdiction`."""
     covers: dict[str, frozenset[str]] = {}
     for reg, scope in zip(catalog.regulations, catalog._regulation_scopes):
         covers[reg.id] = covers[reg.id] | scope if reg.id in covers else scope

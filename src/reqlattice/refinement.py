@@ -104,9 +104,10 @@ def build_graph(catalog: Catalog) -> RefinementGraph:
 
     This is the one place analyses validate: on validation errors it
     raises CatalogInvalidError carrying the ValidationReport, because
-    reachability over broken or cyclic edges is undefined. The graph's
-    direct edges are the catalog's own edge index, which `validate` has
-    already built; nothing else is precomputed.
+    reachability over broken or cyclic edges is undefined. It never looks
+    for warnings (`model.find_warnings`). The graph's direct edges are the
+    catalog's own edge index, which `validate` has already built; nothing
+    else is precomputed.
     """
     report = validate(catalog)
     if not report.ok:

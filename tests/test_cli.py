@@ -63,6 +63,18 @@ def test_validate_malformed_file_exits_two(capsys):
     assert "line" in err
 
 
+def test_validate_refuses_a_repeated_key_with_exit_two(capsys, tmp_path):
+    path = tmp_path / "repeated.reqcat.json"
+    path.write_text(
+        '{"version": 1, "jurisdictions": [{"id": "C1", "id": "C2"}], "regulations": [],'
+        ' "products": [], "requirements": [], "refinements": []}'
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "repeated key 'id'" in err
+
+
 def test_validate_json_reports_diagnostic_warnings(capsys):
     code, payload = run_json(capsys, "validate", COUNTEREXAMPLE, "--json")
     assert code == 0
@@ -460,13 +472,20 @@ def test_every_command_indexes_the_refinement_edges_exactly_once(capsys, monkeyp
 
 def test_only_validate_looks_for_warnings(capsys, monkeypatch, tmp_path):
     calls = []
-    original = model._find_warnings
+    original = model.find_warnings
 
     def counting_find_warnings(catalog):
         calls.append(catalog)
         return original(catalog)
 
-    monkeypatch.setattr(model, "_find_warnings", counting_find_warnings)
+    bindings = 0
+    for name, module in list(sys.modules.items()):
+        if name == "reqlattice" or name.startswith("reqlattice."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_find_warnings)
+                    bindings += 1
+    assert bindings >= 3  # model, the package root and cli
     build_graph(load(PARTIAL))
     assert calls == []
     out = str(tmp_path / "view.dot")

@@ -40,6 +40,7 @@ from reqlattice.model import (
     RefinementEdge,
     Regulation,
     Requirement,
+    find_warnings,
     validate,
 )
 from reqlattice.refinement import build_graph
@@ -393,6 +394,18 @@ def test_overlong_integer_literal_is_a_parse_error():
     assert "set_int_max_str_digits" not in str(excinfo.value)
 
 
+def test_a_repeated_key_is_a_schema_error_that_names_it():
+    # `json` alone keeps the last value: one jurisdiction, or no refinements.
+    entity = MINIMAL.replace('"jurisdictions": []', '"jurisdictions": [{"id": "C1", "id": "C2"}]')
+    assert _schema_message(entity) == "repeated key 'id' in a JSON object"
+    edge = '"refinements": [{"stronger": "a", "weaker": "b"}]'
+    top = MINIMAL.replace('"refinements": []', edge + ', "refinements": []')
+    assert _schema_message(top) == "repeated key 'refinements' in a JSON object"
+    # Keys that differ only by an escape are the same key once decoded.
+    escaped = MINIMAL.replace('"version": 1', '"version": 1, "versio\\u006e": 1')
+    assert _schema_message(escaped) == "repeated key 'version' in a JSON object"
+
+
 def test_lone_surrogates_are_schema_errors_and_escaped_pairs_load():
     doc = json.loads(MINIMAL)
     doc["products"] = [{"id": "\ud800"}]
@@ -468,6 +481,7 @@ def test_round_trip_on_random_catalogs_preserves_validation():
         loaded = loads(save(catalog))
         assert loaded == catalog
         assert validate(loaded) == validate(catalog)
+        assert find_warnings(loaded) == find_warnings(catalog)
 
 
 def _plain_dict(catalog: Catalog) -> dict:

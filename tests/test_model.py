@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from randcat import random_catalog, random_digraph
 from reqlattice.algebra import general_part, rl_min
+from reqlattice.errors import CatalogInvalidError
 from reqlattice.io import load
 from reqlattice.model import (
     ALL,
@@ -31,10 +34,13 @@ from reqlattice.model import (
     Regulation,
     Requirement,
     Severity,
+    ValidationReport,
     _adjacency,
     _cycle_components,
+    find_warnings,
     validate,
 )
+from reqlattice.refinement import build_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,7 +64,7 @@ def test_kind_reads_any_case_and_refuses_other_values():
 def test_empty_catalog_is_vacuously_valid():
     report = validate(Catalog())
     assert report.errors == ()
-    assert report.warnings == ()
+    assert find_warnings(Catalog()) == ()
     assert report.ok
 
 
@@ -193,14 +199,14 @@ def test_empty_requirement_scope_is_an_empty_scope_warning():
             rfn("r4", applies_to_products={"P1"}),
         ],
     )
-    report = validate(catalog)
-    assert report.ok
-    assert [(issue.code, issue.ids) for issue in report.warnings] == [
+    assert validate(catalog).ok
+    warnings = find_warnings(catalog)
+    assert [(issue.code, issue.ids) for issue in warnings] == [
         (EMPTY_SCOPE, ("r1",)),
         (EMPTY_SCOPE, ("r2",)),
         (EMPTY_SCOPE, ("r3",)),
     ]
-    assert all(issue.severity is Severity.WARNING for issue in report.warnings)
+    assert all(issue.severity is Severity.WARNING for issue in warnings)
     # An empty scope lands in no map.
     assert catalog.requirements_by_product["P1"] == {"r2", "r4"}
     assert catalog.requirements_by_jurisdiction["C1"] == {"r1", "r4"}
@@ -214,11 +220,11 @@ def test_rl_coverage_warning_names_uncovered_jurisdictions():
             Requirement("r1", Kind.RL, derived_from={"s1"}, applies_to_jurisdictions=ALL)
         ],
     )
-    report = validate(catalog)
-    assert report.errors == ()
-    assert codes(report.warnings) == [RL_COVERAGE]
-    assert report.warnings[0].ids == ("r1", "C2")
-    assert report.warnings[0].severity is Severity.WARNING
+    assert validate(catalog).errors == ()
+    warnings = find_warnings(catalog)
+    assert codes(warnings) == [RL_COVERAGE]
+    assert warnings[0].ids == ("r1", "C2")
+    assert warnings[0].severity is Severity.WARNING
 
 
 def test_all_scoped_regulation_covers_every_jurisdiction():
@@ -229,7 +235,7 @@ def test_all_scoped_regulation_covers_every_jurisdiction():
             Requirement("r1", Kind.RL, derived_from={"g"}, applies_to_jurisdictions=ALL)
         ],
     )
-    assert validate(catalog).warnings == ()
+    assert find_warnings(catalog) == ()
 
 
 def test_duplicated_regulation_id_covers_the_union_of_its_scopes():
@@ -245,28 +251,49 @@ def test_duplicated_regulation_id_covers_the_union_of_its_scopes():
     )
     report = validate(catalog)
     assert [(issue.code, issue.ids) for issue in report.errors] == [(DUP_ID, ("g",))]
-    assert report.warnings == ()
+    assert find_warnings(catalog) == ()
     assert catalog.regulations_by_jurisdiction == {"C1": {"g"}, "C2": {"g"}}
 
 
-def test_warnings_are_found_on_first_read_and_kept():
-    def make() -> Catalog:
-        return Catalog(
-            jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
-            regulations=[Regulation("s1", jurisdictions={"C1"})],
-            requirements=[Requirement("r1", Kind.RL, derived_from={"s1"})],
-        )
+def test_a_report_is_its_errors_and_nothing_else():
+    assert [f.name for f in dataclasses.fields(ValidationReport)] == ["errors"]
+    assert ValidationReport().ok
+    assert validate(Catalog()) == ValidationReport()
+    # A warned-about catalog validates to the empty report; its warnings are
+    # `find_warnings`' to find.
+    warned = Catalog(
+        jurisdictions=[Jurisdiction("C1"), Jurisdiction("C2")],
+        regulations=[Regulation("s1", jurisdictions={"C1"})],
+        requirements=[Requirement("r1", Kind.RL, derived_from={"s1"})],
+    )
+    assert validate(warned) == ValidationReport()
+    assert codes(find_warnings(warned)) == [RL_COVERAGE]
+    reports = [
+        validate(Catalog()),
+        validate(warned),
+        validate(Catalog(products=[Product("P1"), Product("P1")])),
+        validate(Catalog(products=[Product("P1"), Product("P1")])),
+        validate(Catalog(products=[Product("P2"), Product("P2")])),
+        ValidationReport((Issue(Severity.ERROR, DUP_ID, "duplicate product id: P2", ("P2",)),)),
+    ]
+    for a in reports:
+        for b in reports:
+            assert (a == b) is (a.errors == b.errors), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
 
-    report = validate(make())
-    assert "warnings" not in vars(report)
-    assert report.ok and "warnings" not in vars(report)
-    assert report.warnings is report.warnings
-    assert codes(report.warnings) == [RL_COVERAGE]
-    # Equality covers errors and warnings; the catalog is not part of the value.
-    twin = validate(make())
-    assert report == twin and hash(report) == hash(twin)
-    assert report != validate(Catalog()) and hash(report) == hash(validate(Catalog()))
-    assert "catalog" not in repr(report)
+
+def test_a_refused_catalog_is_not_kept_alive_by_its_error():
+    catalog = Catalog(products=[Product("P1"), Product("P1")])
+    alive = weakref.ref(catalog)
+    with pytest.raises(CatalogInvalidError) as excinfo:
+        build_graph(catalog)
+    # The traceback's frames hold the catalog; the error itself must not.
+    refused = excinfo.value.with_traceback(None)
+    del catalog, excinfo
+    gc.collect()
+    assert alive() is None
+    assert codes(refused.report.errors) == [DUP_ID]
 
 
 def test_entities_hold_no_instance_dict():
@@ -387,7 +414,7 @@ def test_cycle_fixture_reports_the_same_cycle_issue():
     assert report.errors == (
         Issue(Severity.ERROR, CYCLE, "refinement cycle through: x, y", ("x", "y")),
     )
-    assert report.warnings == ()
+    assert find_warnings(load(DATA / "cycle.reqcat.json")) == ()
 
 
 def test_catalog_collections_are_normalised_and_immutable():
@@ -629,7 +656,7 @@ def test_scope_maps_match_a_per_entity_scan():
         assert fresh.requirements_on_some_product == some(by_product)
         assert fresh.requirements_in_every_jurisdiction == every(by_jurisdiction)
         assert fresh.requirements_in_some_jurisdiction == some(by_jurisdiction)
-        warned = [w.ids for w in validate(catalog).warnings if w.code == RL_COVERAGE]
+        warned = [w.ids for w in find_warnings(catalog) if w.code == RL_COVERAGE]
         assert warned == uncovered_rl(catalog)
         uncovered += bool(warned)
         if len(catalog.requirement_ids) == len(reqs):
