@@ -28,12 +28,19 @@ dependencies as digraph text:
   per-jurisdiction minimum and strongest sets, which feed the overall
   strongest set.
 
-Loading keeps one copy of each fact. `load` hands the file's bytes to
-`loads`, which decodes them, parses the text with `json.loads` and drops
-the text before any entity is built. Each collection is then checked and
-converted one field at a time and taken out of the document as its
-entities are built. Equal id arrays become one shared frozenset, through
-a dict that lives only for the call.
+Loading keeps one copy of each fact and does its per-item work in
+C-level passes. `load` and `loads` decode the text, parse it with
+`json.loads` and drop it before any entity is built. Each collection is
+then checked and converted one field (column) at a time and taken out of
+the document. Its entities are made with `object.__new__` and each field
+is set through its slot, because every column already holds the field's
+final type. Equal id arrays become one shared frozenset, through a dict
+that lives only for the call. A text with no backslash is parsed without
+an object hook, and a repeated key is found by counting colons (see
+`_load`). When the count is off, or the document fails a check, the text
+is decoded again, by `loads` from its argument and by `load` from the
+file, and parsed with `_object`, which names the repeated key; a text
+with a backslash is parsed that way at once.
 
 `write_dot` streams a view to a file line by line; `render_dot` joins the
 same lines into one string.
@@ -44,12 +51,12 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
-from enum import Enum
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import algebra, refinement
@@ -79,14 +86,16 @@ _KINDS = {kind.value: kind for kind in Kind}
 
 
 class _Shape:
-    """The schema of one entity collection, read by both parse paths.
+    """The schema of one entity collection, read by the converting path
+    and by the explaining path.
 
     `fields` lists (key, type) in the order a wrong value is reported and
     `required` lists keys in the order a missing one is reported. Types:
     "str" (required string), "text" (optional string, default ""), "kind",
     "ids" (optional id array, default []) and "scope" ("all" or an id array).
     Every required key has a type that refuses the None a missing key
-    reads as, so the fast path tests only for unknown keys.
+    reads as, so the fast path tests only for unknown keys. Each key names
+    a field of `entity`, and `setters` holds each field's slot setter.
     """
 
     def __init__(
@@ -96,7 +105,7 @@ class _Shape:
         self.fields = fields
         self.required = required
         self.allowed_keys = frozenset(key for key, _ in fields)
-        self.order = [field.name for field in dataclasses.fields(entity)]
+        self.setters = {key: entity.__dict__[key].__set__ for key, _ in fields}
 
 
 _SHAPES = {
@@ -128,57 +137,84 @@ _DEFAULTS = {"text": "", "ids": []}
 
 
 # The fast path checks and converts a whole collection one field (column)
-# at a time, builds no message, and raises _Mismatch on anything amiss;
-# _explain then walks the collection again to name the first bad entry.
-# Each converter takes the column and `share`, the `setdefault` of the one
-# dict a `loads` call keeps, so equal id arrays become one frozenset.
+# at a time in C-level passes, builds no message, and raises _Mismatch on
+# anything amiss; _explain then walks the collection again to name the
+# first bad entry. Each converter takes the column and the one _Shared of
+# a load, and returns the converted column and the number of colons in the
+# column's strings, which `_load` needs to find repeated keys.
 
 
 class _Mismatch(Exception):
     """A collection does not fit its shape; _explain says where."""
 
 
+class _Shared(dict):
+    """The id sets of one load: `shared[ids]` is the first set equal to
+    `ids`, so equal id arrays become one frozenset."""
+
+    def __missing__(self, ids: frozenset[str]) -> frozenset[str]:
+        self[ids] = ids
+        return ids
+
+
 _DICT = frozenset({dict})
+_LIST = frozenset({list})
 
 
-def _strs(column: list, share=None) -> list[str]:
+def _strs(column: list, shared=None) -> tuple[list[str], int]:
     try:
-        "".join(column)  # one pass in C: TypeError unless every item is a string
+        # One pass in C: TypeError unless every item is a string.
+        return column, "".join(column).count(":")
     except TypeError:
         raise _Mismatch from None
-    return column
 
 
-def _kinds(column: list, share=None) -> list[Kind]:
+def _kinds(column: list, shared=None) -> tuple[list[Kind], int]:
     try:
-        return [_KINDS[value] for value in column]
+        return list(map(_KINDS.__getitem__, column)), 0
     except (KeyError, TypeError):
         raise _Mismatch from None
 
 
-def _ids(value, share) -> frozenset[str]:
-    if type(value) is not list:
+def _ids(column: list, shared: _Shared) -> tuple[list[frozenset[str]], int]:
+    if not _LIST.issuperset(map(type, column)):
         raise _Mismatch
-    ids = frozenset(_strs(value))
-    if len(ids) != len(value):
+    try:
+        colons = "".join(chain.from_iterable(column)).count(":")
+    except TypeError:
+        raise _Mismatch from None
+    # Each set is shared as soon as it is built: a copy of a set already
+    # seen is freed at once, so the sets that stay sit together in memory.
+    sets = list(map(shared.__getitem__, map(frozenset, column)))
+    # No set is longer than its array, so equal totals mean no repeated id.
+    if sum(map(len, sets)) != sum(map(len, column)):
         raise _Mismatch
-    return share(ids, ids)
+    return sets, colons
 
 
-_CONVERT = {
-    "str": _strs,
-    "text": _strs,
-    "kind": _kinds,
-    "ids": lambda column, share: [_ids(value, share) for value in column],
-    "scope": lambda column, share: [
-        ALL if value == "all" else _ids(value, share) for value in column
-    ],
-}
+_EMPTY_IF_STR = {str: []}.get  # (type, value) -> [] for a string, else value
+_ALL_IF_STR = {str: ALL}.get  # (type, value) -> ALL for a string, else value
 
 
-def _entities(value, label: str, share) -> list:
+def _scopes(column: list, shared: _Shared) -> tuple[list[Scope], int]:
+    types = list(map(type, column))
+    strings = types.count(str)
+    if not strings:
+        return _ids(column, shared)
+    if column.count("all") != strings:
+        raise _Mismatch
+    # Each "all" goes through _ids as an empty array and comes out as ALL.
+    sets, colons = _ids(list(map(_EMPTY_IF_STR, types, column)), shared)
+    return list(map(_ALL_IF_STR, types, sets)), colons
+
+
+_CONVERT = {"str": _strs, "text": _strs, "kind": _kinds, "ids": _ids, "scope": _scopes}
+
+
+def _entities(value, label: str, shared: _Shared) -> tuple[list, int]:
     """Build the entities of one top-level collection, or raise the
-    SchemaError of its first bad entry in document order."""
+    SchemaError of its first bad entry in document order. Also return the
+    number of keys in its objects plus the colons in its strings."""
     shape = _SHAPES[label]
     try:
         if not (
@@ -187,16 +223,26 @@ def _entities(value, label: str, share) -> list:
             and all(map(shape.allowed_keys.issuperset, value))
         ):
             raise _Mismatch
-        columns = {}
+        found = sum(map(len, value))
+        columns = []
         for key, kind in shape.fields:
             column = list(map(dict.get, value, repeat(key), repeat(_DEFAULTS.get(kind))))
-            columns[key] = _CONVERT[kind](column, share)
+            column, colons = _CONVERT[kind](column, shared)
+            columns.append((shape.setters[key], column))
+            found += colons
     except _Mismatch:
         _explain(value, label)
         raise
-    # `loads` popped the collection, so its entries go before the entities are built.
+    # `_collections` popped the collection, so its entries go before the entities are built.
+    count = len(value)
     del value, column
-    return list(map(shape.entity, *(columns[name] for name in shape.order)))
+    # Every column already holds its field's final type, so each field is
+    # set through its slot, and the frozen dataclass `__init__` (one
+    # `object.__setattr__` per field) is skipped.
+    entities = list(map(object.__new__, repeat(shape.entity, count)))
+    for setter, column in columns:
+        deque(map(setter, entities, column), 0)
+    return entities, found
 
 
 # The explaining path: the same checks in report order, with messages.
@@ -255,7 +301,7 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                # Not a ValueError, so `loads` lets it through as it is.
+                # Not a ValueError, so `_parse` lets it through as it is.
                 raise SchemaError(f"repeated key {key!r} in a JSON object")
             seen.add(key)
     return obj
@@ -268,6 +314,104 @@ def _check_encodable(text: str) -> None:
         raise SchemaError("catalog strings must not hold lone UTF-16 surrogates") from exc
 
 
+def _text(source: str | bytes) -> str:
+    """The catalog text of `loads`' argument."""
+    if isinstance(source, (bytes, bytearray)):
+        try:
+            return bytes(source).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"catalog is not valid UTF-8: {exc}") from exc
+    _check_encodable(source)
+    return source
+
+
+_TOO_DEEP = "malformed catalog document: arrays or objects nested too deeply"
+
+
+def _parse(text: str, hook=None):
+    """The decoded JSON document of `text`, objects made by `hook`."""
+    try:
+        return json.loads(text, object_pairs_hook=hook)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError("malformed catalog document: integer literal too long") from exc
+    except RecursionError as exc:
+        raise ParseError(_TOO_DEEP) from exc
+
+
+def _check_strings(document) -> None:
+    """Refuse a lone surrogate in the strings of a decoded document."""
+    try:
+        text = json.dumps(document, ensure_ascii=False)
+    except RecursionError as exc:
+        raise ParseError(_TOO_DEEP) from exc
+    _check_encodable(text)
+
+
+def _collections(document) -> tuple[dict[str, list], int]:
+    """Schema-check a parsed document and build its entities, taking each
+    collection out of it as it goes. Return the entity lists by label and
+    the number of keys in the document plus the colons in its strings."""
+    if not isinstance(document, dict):
+        raise SchemaError(f"top level: expected object, got {type(document).__name__}")
+    _check_keys(document, _TOP_KEYS, _TOP_KEYS, "top level")
+    version = document["version"]
+    if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
+        raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
+    # Collections are built in schema order, so the first bad one is
+    # reported. The id sets are shared only within this call.
+    shared = _Shared()
+    found = len(document)
+    collections = {}
+    for label in _SHAPES:
+        collections[label], count = _entities(document.pop(label), label, shared)
+        found += count
+    return collections, found
+
+
+def _load(text: str, again) -> Catalog:
+    """The catalog of `text`; `again()` returns the same text anew.
+
+    A text with no backslash is parsed without an object hook. Every `:`
+    in it either separates a key or sits in a string, and a repeated key
+    drops a key from the decoded document and adds none. So once the
+    schema checks pass, no object repeats a key exactly when the text's
+    colons are as many as the document's keys plus the colons in its
+    strings. On any other outcome the text is parsed again with `_object`,
+    as a text with a backslash is at once, so the first error reported is
+    the one the hook finds. Neither path keeps the text while the entities
+    are built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if "\\" not in text:
+            colons = text.count(":")
+            try:
+                document = _parse(text)
+                del text
+                collections, found = _collections(document)
+                if found == colons:
+                    return Catalog(**collections)
+            except (ParseError, SchemaError):
+                pass
+            document = collections = None  # freed before the second parse
+            text = again()
+        # Only a `\u` escape can put a lone surrogate into a string.
+        escaped = "\\u" in text
+        document = _parse(text, _object)
+        del text
+        if escaped:
+            _check_strings(document)
+        return Catalog(**_collections(document)[0])
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads(text: str | bytes) -> Catalog:
     """Parse and schema-check a catalog document.
 
@@ -276,55 +420,17 @@ def loads(text: str | bytes) -> Catalog:
     holds no reference cycles, so the call pauses the process-wide cyclic
     collector and restores the state it found (enabled or disabled).
     Equal id arrays of the document become one shared frozenset. An object
-    that repeats a key is a SchemaError that names the key.
+    that repeats a key is a SchemaError that names the key; finding one
+    decodes `text` a second time.
     """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = bytes(text).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"catalog is not valid UTF-8: {exc}") from exc
-    else:
-        _check_encodable(text)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        try:
-            document = json.loads(text, object_pairs_hook=_object)
-            # Only an escape can put a lone surrogate into a string; most
-            # texts hold no backslash, and that test is one memchr.
-            escaped = "\\" in text and "\\u" in text
-            del text  # the entities are built without the decoded text beside them
-            if escaped:
-                _check_encodable(json.dumps(document, ensure_ascii=False))
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"malformed catalog document at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        except ValueError as exc:  # an integer literal past the interpreter's digit limit
-            raise ParseError("malformed catalog document: integer literal too long") from exc
-        except RecursionError as exc:
-            raise ParseError("malformed catalog document: arrays or objects nested too deeply") from exc
-
-        if not isinstance(document, dict):
-            raise SchemaError(f"top level: expected object, got {type(document).__name__}")
-        _check_keys(document, _TOP_KEYS, _TOP_KEYS, "top level")
-        version = document["version"]
-        if not isinstance(version, int) or isinstance(version, bool) or version != CATALOG_VERSION:
-            raise SchemaError(f"version: expected {CATALOG_VERSION}, got {version!r}")
-        # Collections are built in document order, so the first bad one is
-        # reported, and each is taken out of the document as it is built.
-        # The dict behind `share` lives only for this call.
-        share = {}.setdefault
-        return Catalog(**{label: _entities(document.pop(label), label, share) for label in _SHAPES})
-    finally:
-        if enabled:
-            gc.enable()
+    return _load(_text(text), lambda: _text(text))
 
 
 def load(path: str | Path) -> Catalog:
     """Read and parse the catalog file at `path`; `loads` parses text or bytes."""
-    # No name here holds the file's bytes, so they are freed once decoded.
-    return loads(_read(path))
+    # No name here holds the file's bytes or text, so they are freed once
+    # parsed; a second parse reads the file again.
+    return _load(_text(_read(path)), lambda: _text(_read(path)))
 
 
 def _read(path: str | Path) -> bytes:

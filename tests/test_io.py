@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import catgen  # bench/catgen.py
 from randcat import random_catalog
+from reqlattice import io as catalog_io
 from reqlattice.errors import (
     FocusForbiddenError,
     FocusRequiredError,
@@ -46,6 +48,7 @@ from reqlattice.model import (
 from reqlattice.refinement import build_graph
 
 DATA = Path(__file__).parent / "data"
+LOADABLE = sorted(set(DATA.glob("*.reqcat.json")) - {DATA / "malformed.reqcat.json"})
 
 MINIMAL = (
     '{"version": 1, "jurisdictions": [], "regulations": [], "products": [],'
@@ -406,6 +409,155 @@ def test_a_repeated_key_is_a_schema_error_that_names_it():
     assert _schema_message(escaped) == "repeated key 'version' in a JSON object"
 
 
+def test_a_repeat_is_reported_before_any_later_error(tmp_path):
+    repeat = '"jurisdictions": [{"id": "C1", "id": "C2"}]'
+    # A repeat before a later schema error, and after an earlier one: the
+    # repeat is found while parsing, before any schema check.
+    later = MINIMAL.replace('"jurisdictions": []', repeat).replace(
+        '"refinements": []', '"refinements": 7'
+    )
+    earlier = MINIMAL.replace('"jurisdictions": []', '"jurisdictions": 7').replace(
+        '"refinements": []', '"refinements": [{"stronger": "a", "weaker": "b", "weaker": "c"}]'
+    )
+    assert _schema_message(later) == "repeated key 'id' in a JSON object"
+    assert _schema_message(earlier) == "repeated key 'weaker' in a JSON object"
+    # A repeat before a later JSON syntax error, once its object is closed.
+    cut = MINIMAL.replace('"jurisdictions": []', repeat)[:-20]
+    assert _schema_message(cut) == "repeated key 'id' in a JSON object"
+    # A top-level repeat is found only when the top-level object closes.
+    with pytest.raises(ParseError, match="line 1 column"):
+        loads(MINIMAL.replace('"version": 1', '"version": 1, "version": 1')[:-1])
+    path = tmp_path / "repeat.reqcat.json"
+    path.write_text(later, encoding="utf-8")
+    with pytest.raises(SchemaError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == "repeated key 'id' in a JSON object"
+
+
+_COLLECTIONS = ("jurisdictions", "regulations", "products", "requirements", "refinements")
+
+# Strings with colons and non-ASCII text: without an escape in the text,
+# `loads` finds repeats by counting colons.
+COLON_TEXT = st.text(st.sampled_from([":", "a", "b", "é"]), max_size=4)
+COLON_IDS = st.frozensets(COLON_TEXT, max_size=3)
+COLON_SCOPES = st.one_of(st.just(ALL), COLON_IDS)
+COLON_CATALOGS = st.builds(
+    Catalog,
+    jurisdictions=st.lists(st.builds(Jurisdiction, COLON_TEXT, COLON_TEXT), max_size=2),
+    regulations=st.lists(st.builds(Regulation, COLON_TEXT, COLON_TEXT, COLON_SCOPES), max_size=2),
+    products=st.lists(st.builds(Product, COLON_TEXT, COLON_TEXT), max_size=2),
+    requirements=st.lists(
+        st.builds(
+            Requirement,
+            COLON_TEXT,
+            st.sampled_from(Kind),
+            COLON_TEXT,
+            COLON_IDS,
+            COLON_IDS,
+            COLON_SCOPES,
+            COLON_SCOPES,
+        ),
+        max_size=3,
+    ),
+    refinements=st.lists(st.builds(RefinementEdge, COLON_TEXT, COLON_TEXT), max_size=2),
+)
+
+
+def _text_with_repeat(document: dict, target: int, key_index: int, value, first: bool,
+                      escaped_key: bool, ensure_ascii: bool) -> str:
+    """`document` as JSON text in which the `target`-th object (in text
+    order) holds one of its keys twice: once with `value`, placed before or
+    after the original pair, its name spelled with a unicode escape if asked."""
+    objects = iter(range(target + 1))
+
+    def write(node) -> str:
+        if isinstance(node, dict):
+            pairs = [(json.dumps(key), child) for key, child in node.items()]
+            if next(objects, None) == target:
+                key = list(node)[key_index % len(node)]
+                spelled = f'"\\u{ord(key[0]):04x}{key[1:]}"' if escaped_key else json.dumps(key)
+                pairs.insert(0 if first else len(pairs), (spelled, value))
+            return "{" + ", ".join(f"{key}: {write(child)}" for key, child in pairs) + "}"
+        if isinstance(node, list):
+            return "[" + ", ".join(map(write, node)) + "]"
+        return json.dumps(node, ensure_ascii=ensure_ascii)
+
+    return write(document)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    catalog=COLON_CATALOGS,
+    target=st.integers(0, 20),
+    key_index=st.integers(0, 6),
+    value=st.sampled_from(["x:y", ":", "", "all", 7, ["a:b"], [], None]),
+    first=st.booleans(),
+    escaped_key=st.booleans(),
+    ensure_ascii=st.booleans(),
+)
+def test_a_repeated_key_is_found_as_the_hook_finds_it(
+    catalog, target, key_index, value, first, escaped_key, ensure_ascii
+):
+    document = _plain_dict(catalog)
+    objects = 1 + sum(len(document[label]) for label in _COLLECTIONS)
+    text = _text_with_repeat(
+        document, target % objects, key_index, value, first, escaped_key, ensure_ascii
+    )
+    with pytest.raises(SchemaError) as expected:
+        json.loads(text, object_pairs_hook=catalog_io._object)
+    for source in (text, text.encode("utf-8")):
+        with pytest.raises(SchemaError) as excinfo:
+            loads(source)
+        assert str(excinfo.value) == str(expected.value)
+    # The same text without the repeat loads to the catalog.
+    assert loads(_text_with_repeat(document, -1, 0, None, first, False, ensure_ascii)) == catalog
+
+
+def _constructed(text: str | bytes) -> Catalog:
+    """The catalog of a valid document, built through the public
+    constructors, which coerce kind names and id lists."""
+    doc = json.loads(text)
+
+    def entry(fields: dict) -> dict:
+        scopes = ("jurisdictions", "applies_to_products", "applies_to_jurisdictions")
+        return {k: ALL if k in scopes and v == "all" else v for k, v in fields.items()}
+
+    types = (Jurisdiction, Regulation, Product, Requirement, RefinementEdge)
+    return Catalog(
+        **{
+            label: [entity(**entry(fields)) for fields in doc[label]]
+            for label, entity in zip(_COLLECTIONS, types)
+        }
+    )
+
+
+ENTITY_TEXTS = [path.read_bytes() for path in LOADABLE] + [
+    catgen.generate(shape, seed).text() for shape in catgen.TINY.values() for seed in (11, 12)
+]
+
+
+@pytest.mark.parametrize("text", ENTITY_TEXTS, ids=range(len(ENTITY_TEXTS)))
+def test_loaded_entities_are_the_entities_the_constructors_build(text):
+    loaded, built = loads(text), _constructed(text)
+    assert loaded == built
+    for label in _COLLECTIONS:
+        for ours, theirs in zip(getattr(loaded, label), getattr(built, label), strict=True):
+            assert type(ours) is type(theirs)
+            assert ours == theirs and hash(ours) == hash(theirs) and repr(ours) == repr(theirs)
+            assert dataclasses.replace(ours) == ours
+            for field in dataclasses.fields(ours):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(ours, field.name, getattr(ours, field.name))
+
+
+def test_the_public_constructors_still_coerce_their_arguments():
+    requirement = Requirement("R1", "rl", derived_from=["a"], applies_to_products=["P1"])
+    assert requirement.kind is Kind.RL
+    assert type(requirement.derived_from) is frozenset and requirement.derived_from == {"a"}
+    assert requirement.applies_to_products == frozenset({"P1"})
+    assert Regulation("g", jurisdictions=["C1"]).jurisdictions == frozenset({"C1"})
+
+
 def test_lone_surrogates_are_schema_errors_and_escaped_pairs_load():
     doc = json.loads(MINIMAL)
     doc["products"] = [{"id": "\ud800"}]
@@ -596,9 +748,6 @@ def test_loads_restores_the_collector_state_it_found(text, error, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-
-
-LOADABLE = sorted(set(DATA.glob("*.reqcat.json")) - {DATA / "malformed.reqcat.json"})
 
 
 @pytest.mark.parametrize("path", LOADABLE, ids=lambda path: path.name)

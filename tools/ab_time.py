@@ -14,6 +14,7 @@ times, each step on a fresh parse of the file's bytes and right after
 `gc.collect()`:
 
 * `io.loads` of the bytes;
+* `io.load` of the catalog file, the path every CLI call takes;
 * `model.validate` of a freshly loaded catalog;
 * `refinement.build_graph` of a freshly loaded catalog;
 * one `cli.main(["classify", CATALOG, "--json"])` call, with stdout and
@@ -42,7 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-STEPS = ("loads", "validate", "build_graph", "cli.main")
+STEPS = ("loads", "load", "validate", "build_graph", "cli.main")
 
 
 def _import(src: str, name: str):
@@ -68,9 +69,10 @@ def _timed(call) -> float:
     return (time.perf_counter_ns() - start) / 1e6
 
 
-def _side(lib, data: bytes, argv: list[str]) -> dict[str, float]:
+def _side(lib, path: str, data: bytes, argv: list[str]) -> dict[str, float]:
     """One run of every step; the milliseconds per step."""
     times = {"loads": _timed(lambda: lib.io.loads(data))}
+    times["load"] = _timed(lambda: lib.io.load(path))
     catalog = lib.io.loads(data)
     times["validate"] = _timed(lambda: lib.model.validate(catalog))
     catalog = lib.io.loads(data)
@@ -105,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         times = {(side, step): [] for side in sides for step in STEPS}
         for pair in range(args.pairs):
             for side in (("A", "B") if pair % 2 == 0 else ("B", "A")):
-                for step, ms in _side(sides[side], data, call).items():
+                for step, ms in _side(sides[side], path, data, call).items():
                     times[side, step].append(ms)
         print(f"\n{path} ({' '.join(call)})")
         print(f"{'step':12s} {'A':>24s} {'B':>24s} {'change':>8s} {'wins':>7s}")

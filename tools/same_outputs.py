@@ -11,6 +11,11 @@ writes two sets of catalogs into a temporary directory:
 * a few hundred hostile catalogs: the `tests/data` fixtures mutated with
   a seeded RNG (strings renamed, values retyped, keys dropped or added,
   entries duplicated, ids reused, text truncated, lone surrogates).
+* repeated-key catalogs, written as text because `json.dumps` can never
+  write a key twice: a fixture with one `"key": value` pair repeated in a
+  random object, in five kinds: the repeat alone; the dropped or the kept
+  value holding a `:`; a backslash escape elsewhere in the text; a later
+  schema error; and the text cut off after the repeating object.
 * six edge-hostile variants of each generated catalog, one per way the
   refinement edges can go wrong: a duplicated edge, a self-edge, an edge
   to an unknown id, a reversed edge (a 2-cycle), an edge that closes the
@@ -193,6 +198,75 @@ def _mutate(rng: random.Random, document) -> tuple[object, str]:
     return doc, text
 
 
+REPEATS = 12  # repeated-key catalogs of each kind
+REPEAT_KINDS = ("repeat", "colon", "escape", "schema", "cut")
+
+
+def _objects(node, out: list) -> list:
+    """Every JSON object in a tree, in text order."""
+    if isinstance(node, dict):
+        out.append(node)
+    for child in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+        _objects(child, out)
+    return out
+
+
+def _with_repeat(document, target: dict, key: str, value, first: bool) -> tuple[str, int]:
+    """`document` as JSON text in which the object `target` holds `key`
+    twice, `value` going before or after the original pair; and the offset
+    just past `target`'s text."""
+    out: list[str] = []
+    end = 0
+
+    def write(node) -> None:
+        nonlocal end
+        if isinstance(node, dict):
+            pairs = list(node.items())
+            if node is target:
+                pairs.insert(0 if first else len(pairs), (key, value))
+            out.append("{")
+            for i, (name, child) in enumerate(pairs):
+                out.append(("" if i == 0 else ", ") + json.dumps(name) + ": ")
+                write(child)
+            out.append("}")
+            if node is target:
+                end = sum(map(len, out))
+        elif isinstance(node, list):
+            out.append("[")
+            for i, child in enumerate(node):
+                out.append("" if i == 0 else ", ")
+                write(child)
+            out.append("]")
+        else:
+            out.append(json.dumps(node))  # lone surrogates become \u escapes
+
+    write(document)
+    return "".join(out), end
+
+
+def _repeat_key(rng: random.Random, document, kind: str) -> tuple[object, str]:
+    """A catalog text in which one object repeats a key, of the given kind."""
+    doc = copy.deepcopy(document)
+    nested = [obj for obj in _objects(doc, [])[1:] if obj]
+    if kind == "schema":
+        # The repeat sits in an earlier collection than the schema error.
+        nested = [obj for obj in nested if obj not in doc["refinements"]]
+        doc["refinements"] = 7
+    target = rng.choice(nested) if nested else doc
+    key = rng.choice(sorted(target))
+    value = copy.deepcopy(rng.choice([target[key], *VALUES]))
+    if kind == "colon":
+        value = rng.choice(["x:y", ":", ["a:b", "c"]])
+    elif kind == "escape":
+        strings = [(c, k) for c, k in _slots(doc, []) if isinstance(c[k], str)]
+        container, slot = rng.choice(strings)
+        container[slot] += rng.choice(['"', "\\", "\n", "\u00e9"])
+    text, end = _with_repeat(doc, target, key, value, rng.random() < 0.5)
+    if kind == "cut" and end < len(text):
+        text = text[: rng.randrange(end, len(text))]
+    return doc, text
+
+
 def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int, int]:
     """Write every catalog under `work`; return the argv list, the
     [path, edit] pairs to save, `edit` true for the generated catalogs,
@@ -246,6 +320,14 @@ def _write_catalogs(work: Path) -> tuple[list[list[str]], list[list], int, int]:
         path.write_text(text, encoding="utf-8")
         saves.append([str(path), False])
         calls += _hostile_calls(str(path), doc)
+    rng = random.Random(20152)
+    for kind in REPEAT_KINDS:
+        for i in range(REPEATS):
+            doc, text = _repeat_key(rng, rng.choice(documents), kind)
+            path = work / f"repeat-{kind}-{i:02d}.reqcat.json"
+            path.write_text(text, encoding="utf-8")
+            saves.append([str(path), False])
+            calls += _hostile_calls(str(path), doc)
     for i, argv in enumerate(calls):
         if argv[0] == "export":
             argv += ["--out", f"{OUT}/view-{i}.dot"]
