@@ -1,19 +1,27 @@
 """Command-line surface: validate, sets, optimize, classify, impact, export.
 
-Exit codes: 0 success, 1 validation errors found, 2 usage/IO/parse error.
-Reports go to stdout, diagnostics to stderr. With --json every command
-emits exactly one JSON document on stdout and nothing else there.
-Analytical commands refuse to run on catalogs with validation errors.
-Set REQLATTICE_NO_COLOR to disable ANSI styling.
+Exit codes: 0 success, 1 validation errors found, 2 usage/IO/parse error,
+including a stdout whose reader has closed the pipe. Reports go to stdout,
+diagnostics to stderr. With --json every command emits exactly one JSON
+document on stdout and nothing else there. Analytical commands refuse to
+run on catalogs with validation errors. Set REQLATTICE_NO_COLOR to disable
+ANSI styling.
+
+A call does only the work its command needs: `analysis` is imported by
+the three commands that call it (validate, classify, impact), the cyclic
+collector is paused while the command runs, and --json text is laid out
+by one writer whose strings go through json's C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
+from itertools import chain, repeat
 
 from . import io as catalog_io
 from .algebra import (
@@ -24,7 +32,6 @@ from .algebra import (
     requirements_for,
     rl_min,
 )
-from .analysis import change_impact, classify_overlap, consistency_diagnostics
 from .errors import CatalogInvalidError, ReqlatticeError
 from .model import Catalog, Issue, Kind, Severity, find_warnings, validate
 from .refinement import RefinementGraph, build_graph, optimize, witnesses
@@ -59,8 +66,77 @@ def _issue_json(issue: Issue) -> dict:
     return {"code": issue.code, "message": issue.message, "ids": list(issue.ids)}
 
 
+_str = json.encoder.encode_basestring  # the C encoder json.dumps uses per string
+
+
+def _column_text(values, newline: str) -> list[str]:
+    """The texts of `values`, all at the level `newline` gives."""
+    try:
+        return list(map(_str, values))
+    except TypeError:  # not strings only
+        return [_json_text(value, newline) for value in values]
+
+
+def _records_text(records: list, newline: str) -> str | None:
+    """The items of a list of dicts that share their keys in one order,
+    laid out column by column, or None for any other list."""
+    if set(map(type, records)) != {dict}:
+        return None
+    keys = set(map(tuple, records))
+    if len(keys) != 1 or not (keys := keys.pop()):
+        return None
+    inner = newline + "  "
+    columns = [_column_text(column, inner) for column in zip(*map(dict.values, records))]
+    # A record's text is each key's text followed by its value's, then the
+    # close and the separator before the next record, which the last one
+    # does not keep.
+    parts = []
+    for index, (key, column) in enumerate(zip(keys, columns)):
+        parts += [repeat(("," if index else "{") + inner + _str(key) + ": "), column]
+    parts.append(repeat(newline + "}," + newline))
+    return "".join(chain.from_iterable(zip(*parts)))[: -len(newline) - 1]
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, ensure_ascii=False)` of a CLI payload.
+
+    Payloads hold dicts with string keys, lists, strings, ints, bools and
+    None. The containers are laid out here; every string goes through
+    json's C encoder, a list of strings in one `join`, and a list of
+    dicts with the same keys one key's column at a time. (With `indent`,
+    `json.dumps` takes its pure-Python encoder for every value.)
+    `newline` is the line break and indent of the level `value` sits at.
+    """
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _records_text(value, inner)
+        if items is None:
+            items = ("," + inner).join(_column_text(value, inner))
+        return "[" + inner + items + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join(
+            [_str(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        )
+        return "{" + inner + items + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=False)
+    text = _json_text(payload)
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -76,6 +152,8 @@ def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .analysis import consistency_diagnostics
+
     catalog = catalog_io.load(args.catalog)
     report = validate(catalog)
     warnings = list(find_warnings(catalog))
@@ -163,6 +241,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .analysis import classify_overlap
+
     catalog, _ = _load_validated(args.catalog)
     case = classify_overlap(catalog)
     if args.json:
@@ -184,6 +264,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_impact(args: argparse.Namespace) -> int:
+    from .analysis import change_impact
+
     catalog, _ = _load_validated(args.catalog)
     report = change_impact(catalog, args.regulation)
     if args.json:
@@ -281,16 +363,34 @@ _parser = functools.cache(build_parser)  # one per process; it holds no catalog 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # A command builds only acyclic structures, which reference counting
+    # frees, so the cyclic collector is paused while it runs; the state
+    # found (enabled or disabled) is restored.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CatalogInvalidError as refused:
         for issue in refused.report.errors:
             _print_issue(issue, sys.stderr)
         print("refusing to analyse a catalog with validation errors", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone. Point fd 1 at the null device, so
+        # that the interpreter's flush at exit does not fail on it again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ReqlatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

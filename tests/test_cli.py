@@ -340,7 +340,7 @@ def test_every_library_error_exits_two(capsys, monkeypatch):
     def failing(catalog):
         raise NewLibraryError("no overlap today")
 
-    monkeypatch.setattr(cli, "classify_overlap", failing)
+    monkeypatch.setattr("reqlattice.analysis.classify_overlap", failing)
     assert run(capsys, "classify", PARTIAL) == (2, "", "error: no overlap today\n")
 
 
