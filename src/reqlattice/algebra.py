@@ -4,9 +4,12 @@ Every construction is set algebra over the catalog's scope maps
 (`Catalog.requirements_by_product` and its siblings) and per-axis
 aggregates (`Catalog.requirements_on_some_product` and its siblings),
 which the catalog fills in on first use from its scopes, with `"all"`
-resolved once per axis; nothing here looks at a scope. All functions are
-pure and filling in a map or an aggregate is idempotent, so repeated
-calls give identical results and concurrent readers need no locking.
+resolved once per axis; nothing here looks at a scope. A scope map
+builds each entity's entry on its first read, so a construct about one
+product or one jurisdiction pays for that entry, not for the whole map.
+All functions are pure and filling in a map, an entry or an aggregate is
+idempotent, so repeated calls give identical results and concurrent
+readers need no locking.
 
 The constructions:
 

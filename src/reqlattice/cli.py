@@ -1,11 +1,12 @@
 """Command-line surface: validate, sets, optimize, classify, impact, export.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage/IO/parse error,
-including a stdout whose reader has closed the pipe. Reports go to stdout,
-diagnostics to stderr. With --json every command emits exactly one JSON
-document on stdout and nothing else there. Analytical commands refuse to
-run on catalogs with validation errors. Set REQLATTICE_NO_COLOR to disable
-ANSI styling.
+including a stdout whose reader has closed the pipe; a stderr whose reader
+has gone changes no exit code. Reports go to stdout, diagnostics to
+stderr. With --json every command emits exactly one JSON document on
+stdout and nothing else there. Analytical commands refuse to run on
+catalogs with validation errors. Set REQLATTICE_NO_COLOR to disable ANSI
+styling.
 
 A call does only the work its command needs: `analysis` is imported by
 the three commands that call it (validate, classify, impact), the cyclic
@@ -56,10 +57,9 @@ def _severity_text(severity: Severity, stream) -> str:
     return _style(severity.value, "31" if severity is Severity.ERROR else "33", stream)
 
 
-def _print_issue(issue: Issue, stream) -> None:
+def _issue_line(issue: Issue, stream) -> str:
     ids = " [" + ", ".join(issue.ids) + "]" if issue.ids else ""
-    severity = _severity_text(issue.severity, stream)
-    print(f"{severity} {issue.code}: {issue.message}{ids}", file=stream)
+    return f"{_severity_text(issue.severity, stream)} {issue.code}: {issue.message}{ids}"
 
 
 def _issue_json(issue: Issue) -> dict:
@@ -168,10 +168,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             }
         )
     else:
-        for issue in report.errors:
-            _print_issue(issue, sys.stdout)
-        for issue in warnings:
-            _print_issue(issue, sys.stdout)
+        for issue in chain(report.errors, warnings):
+            print(_issue_line(issue, sys.stdout))
         print(f"{len(report.errors)} error(s), {len(warnings)} warning(s)")
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -361,6 +359,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # one per process; it holds no catalog data
 
 
+def _to_null(stream) -> None:
+    """Point `stream`'s file descriptor at the null device, so that the
+    interpreter's flush at exit does not fail on a reader that has gone."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(code: int, *lines: str) -> int:
+    """Write `lines` to stderr and return `code`, also when stderr's reader has gone."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _to_null(sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # A command builds only acyclic structures, which reference counting
@@ -373,21 +390,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except CatalogInvalidError as refused:
-        for issue in refused.report.errors:
-            _print_issue(issue, sys.stderr)
-        print("refusing to analyse a catalog with validation errors", file=sys.stderr)
-        return EXIT_INVALID
+        lines = [_issue_line(issue, sys.stderr) for issue in refused.report.errors]
+        return _fail(EXIT_INVALID, *lines, "refusing to analyse a catalog with validation errors")
     except BrokenPipeError as exc:
-        # The reader of stdout has gone. Point fd 1 at the null device, so
-        # that the interpreter's flush at exit does not fail on it again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # The reader of stdout has gone.
+        _to_null(sys.stdout)
+        return _fail(EXIT_USAGE, f"error: {exc}")
     except (ReqlatticeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     finally:
         if enabled:
             gc.enable()

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import not_
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -52,25 +52,70 @@ def _resolve(scopes: Iterable[Scope], universe: frozenset[str]) -> list[frozense
     return [universe if scope is ALL else scope for scope in scopes]
 
 
-def _by_entity(
-    owners: Iterable[Requirement | Regulation],
-    scopes: list[frozenset[str]],
-    entities: Iterable[Product | Jurisdiction],
-) -> dict[str, frozenset[str]]:
-    """Map each entity's id to the ids of the owners whose resolved scope
-    (`scopes` holds one per owner, in order) holds it."""
-    ids = [owner.id for owner in owners]
-    # `dict.fromkeys` drops a duplicated id and sizes each frozenset's table
-    # to its members, as a copy of a finished set would be.
-    return {
-        entity.id: frozenset(
-            dict.fromkeys(compress(ids, map(frozenset.__contains__, scopes, repeat(entity.id))))
-        )
-        for entity in entities
-    }
+class _ScopeMap(Mapping[str, frozenset[str]]):
+    """A read-only map from each entity id of one axis to the ids of the
+    owners (requirements or regulations) whose resolved scope holds it.
+
+    Making the map is one pass over the owners' resolved scopes (`scopes`
+    holds one per owner, in order) that groups owner ids by entity: an owner
+    whose scope is the axis's own id set, a resolved ALL, goes once into one
+    list that every entry shares, and any other owner into the list of each
+    catalog entity its scope names. An entry becomes a frozenset on its first
+    read, which drops its list, so reading one entry costs the pass and that
+    entry, not the whole map. Unknown ids raise `KeyError`; iteration gives
+    the entity ids in catalog order.
+    """
+
+    __slots__ = ("_sets", "_lists", "_everywhere")
+
+    def __init__(
+        self,
+        owners: Iterable[Requirement | Regulation],
+        scopes: list[frozenset[str]],
+        entities: Iterable[Product | Jurisdiction],
+        universe: frozenset[str],
+    ) -> None:
+        lists: dict[str, list[str] | None] = {entity.id: [] for entity in entities}
+        everywhere: list[str] = []
+        for owner, scope in zip(owners, scopes):
+            if scope is universe:
+                everywhere.append(owner.id)
+                continue
+            for entity_id in scope:
+                members = lists.get(entity_id)
+                if members is not None:  # not an id outside the catalog
+                    members.append(owner.id)
+        # A built entry is read from `_sets` by one dict lookup; `_lists`
+        # keeps every entity id, in order, with None once its entry is built.
+        self._sets: dict[str, frozenset[str]] = {}
+        self._lists = lists
+        self._everywhere = everywhere
+
+    def __getitem__(self, entity_id: str) -> frozenset[str]:
+        try:
+            return self._sets[entity_id]
+        except KeyError:
+            pass
+        members = self._lists[entity_id]
+        if members is None:  # another thread built it since the lookup above
+            return self._sets[entity_id]
+        # `dict.fromkeys` drops a duplicated id and sizes the frozenset's
+        # table to its members, as a copy of a finished set would be.
+        built = self._sets[entity_id] = frozenset(dict.fromkeys(chain(self._everywhere, members)))
+        self._lists[entity_id] = None
+        return built
+
+    def __contains__(self, entity_id: object) -> bool:
+        return entity_id in self._lists
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lists)
+
+    def __len__(self) -> int:
+        return len(self._lists)
 
 
-def _fold(combine, by_entity: dict[str, frozenset[str]]) -> frozenset[str]:
+def _fold(combine, by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
     """Combine a map's values with `frozenset.intersection` or `.union`;
     a map with no entities folds to the empty set."""
     return combine(*by_entity.values()) if by_entity else frozenset()
@@ -238,19 +283,22 @@ class Catalog:
     # Every scope is resolved here, once per axis: three lists hold, in
     # collection order, each requirement's product scope, each requirement's
     # jurisdiction scope and each regulation's jurisdiction scope, with ALL
-    # replaced by the axis's own id set (the same object, never a copy).
-    # The scope maps, `validate`'s RL coverage check and four per-axis
+    # replaced by the axis's own id set (the same object, never a copy). The
+    # scope maps, `find_warnings`'s RL coverage check and four per-axis
     # aggregates (the requirements on every product, on some product, in
     # every jurisdiction and in some jurisdiction) are each a pass over a
-    # list, so a construct that reads only aggregates on an axis never
-    # builds that axis's map.  A duplicated id covers the union of its
-    # scopes, which can cover every entity when no one scope does; so a
-    # catalog with a duplicated id (`validate` refuses it) folds the map for
-    # an "every" aggregate.  A "some" pass needs no such guard: the union
-    # meets the axis exactly when one of its scopes does.  An axis with no
-    # entities has empty aggregates ("every" is not the vacuous universe; the
-    # constructs that need an "every" refuse an empty axis first).
-    # Filling in a list, a map or an aggregate is idempotent.
+    # list, so a construct that reads only aggregates on an axis never makes
+    # that axis's map.  A map's pass groups the owner ids by entity and
+    # builds each entry on its first read (`_ScopeMap`), so a construct that
+    # reads one entity's entry builds that entry alone.  A duplicated id
+    # covers the union of its scopes, which can cover every entity when no
+    # one scope does; so a catalog with a duplicated id (`validate` refuses
+    # it) folds the map for an "every" aggregate.  A "some" pass needs no
+    # such guard: the union meets the axis exactly when one of its scopes
+    # does.  An axis with no entities has empty aggregates ("every" is not
+    # the vacuous universe; the constructs that need an "every" refuse an
+    # empty axis first).
+    # Filling in a list, a map, a map's entry or an aggregate is idempotent.
 
     @cached_property
     def _product_scopes(self) -> list[frozenset[str]]:
@@ -266,20 +314,28 @@ class Catalog:
         return _resolve((r.jurisdictions for r in self.regulations), self.jurisdiction_ids)
 
     @cached_property
-    def requirements_by_product(self) -> dict[str, frozenset[str]]:
-        return _by_entity(self.requirements, self._product_scopes, self.products)
+    def requirements_by_product(self) -> Mapping[str, frozenset[str]]:
+        """Each product id mapped to the ids of the requirements that apply
+        to it; an entry is built on its first read."""
+        return _ScopeMap(self.requirements, self._product_scopes, self.products, self.product_ids)
 
     @cached_property
-    def requirements_by_jurisdiction(self) -> dict[str, frozenset[str]]:
-        return _by_entity(self.requirements, self._jurisdiction_scopes, self.jurisdictions)
+    def requirements_by_jurisdiction(self) -> Mapping[str, frozenset[str]]:
+        """Each jurisdiction id mapped to the ids of the requirements that
+        apply in it; an entry is built on its first read."""
+        scopes = self._jurisdiction_scopes
+        return _ScopeMap(self.requirements, scopes, self.jurisdictions, self.jurisdiction_ids)
 
     @cached_property
     def requirements_by_kind(self) -> dict[Kind, frozenset[str]]:
         return {kind: frozenset(r.id for r in self.requirements if r.kind is kind) for kind in Kind}
 
     @cached_property
-    def regulations_by_jurisdiction(self) -> dict[str, frozenset[str]]:
-        return _by_entity(self.regulations, self._regulation_scopes, self.jurisdictions)
+    def regulations_by_jurisdiction(self) -> Mapping[str, frozenset[str]]:
+        """Each jurisdiction id mapped to the ids of the regulations that
+        belong to it; an entry is built on its first read."""
+        scopes = self._regulation_scopes
+        return _ScopeMap(self.regulations, scopes, self.jurisdictions, self.jurisdiction_ids)
 
     def _covering(
         self, scopes: list[frozenset[str]], universe: frozenset[str], every: bool

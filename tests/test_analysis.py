@@ -327,31 +327,65 @@ def test_identical_case_never_warns():
 
 BY_PRODUCT, BY_JURISDICTION = "requirements_by_product", "requirements_by_jurisdiction"
 BOTH_MAPS = {BY_PRODUCT, BY_JURISDICTION}
+SCOPE_MAPS = (BY_PRODUCT, BY_JURISDICTION, "regulations_by_jurisdiction")
+
+
+def built_entries(catalog: Catalog) -> dict[str, set[str]]:
+    """For each scope map the catalog has made, the ids whose entry it has built."""
+    return {name: set(vars(catalog)[name]._sets) for name in SCOPE_MAPS if name in vars(catalog)}
 
 
 @pytest.mark.parametrize(
-    "call, unbuilt",
+    "call, unbuilt, entries",
     [
-        pytest.param(lambda c, g: jurisdiction_rl(c, "C1"), {BY_PRODUCT}, id="jurisdiction_rl"),
-        pytest.param(lambda c, g: rl_min(c, "C1"), {BY_PRODUCT}, id="rl_min"),
-        pytest.param(lambda c, g: strongest_rl(c, g, "C1"), {BY_PRODUCT}, id="strongest_rl"),
-        pytest.param(lambda c, g: product_union(c, "P1"), {BY_JURISDICTION}, id="product_union"),
         pytest.param(
-            lambda c, g: strongest_product(c, g, "P1"), {BY_JURISDICTION}, id="strongest_product"
+            lambda c, g: jurisdiction_rl(c, "C1"),
+            {BY_PRODUCT},
+            {BY_JURISDICTION: {"C1"}},
+            id="jurisdiction_rl",
         ),
-        pytest.param(lambda c, g: global_union(c), BOTH_MAPS, id="global_union"),
-        pytest.param(lambda c, g: strongest_global(c, g), BOTH_MAPS, id="strongest_global"),
+        pytest.param(
+            lambda c, g: rl_min(c, "C1"), {BY_PRODUCT}, {BY_JURISDICTION: {"C1"}}, id="rl_min"
+        ),
+        pytest.param(
+            lambda c, g: strongest_rl(c, g, "C1"),
+            {BY_PRODUCT},
+            {BY_JURISDICTION: {"C1"}},
+            id="strongest_rl",
+        ),
+        pytest.param(
+            lambda c, g: product_union(c, "P1"),
+            {BY_JURISDICTION},
+            {BY_PRODUCT: {"P1"}},
+            id="product_union",
+        ),
+        pytest.param(
+            lambda c, g: strongest_product(c, g, "P1"),
+            {BY_JURISDICTION},
+            {BY_PRODUCT: {"P1"}},
+            id="strongest_product",
+        ),
+        pytest.param(
+            lambda c, g: requirements_for(c, "P2", "C2"),
+            set(),
+            {BY_PRODUCT: {"P2"}, BY_JURISDICTION: {"C2"}},
+            id="requirements_for",
+        ),
+        pytest.param(lambda c, g: global_union(c), BOTH_MAPS, {}, id="global_union"),
+        pytest.param(lambda c, g: strongest_global(c, g), BOTH_MAPS, {}, id="strongest_global"),
         # `build_graph` reads no warnings, so no requirement scope is resolved.
         pytest.param(
             lambda c, g: change_impact(c, "s1"),
             BOTH_MAPS | {"_product_scopes", "_jurisdiction_scopes"},
+            {"regulations_by_jurisdiction": {"C1", "C2"}},
             id="change_impact",
         ),
     ],
 )
-def test_first_question_on_a_fresh_catalog_builds_only_what_it_reads(call, unbuilt):
+def test_first_question_on_a_fresh_catalog_builds_only_what_it_reads(call, unbuilt, entries):
     # A `cached_property` stores its value in the instance's __dict__.
     catalog = load(DATA / "partial.reqcat.json")
     graph = build_graph(catalog)
     call(catalog, graph)
     assert unbuilt.isdisjoint(vars(catalog))
+    assert built_entries(catalog) == entries

@@ -3,7 +3,8 @@
 A CLI call imports `reqlattice.analysis` only for the commands that call
 it, runs its command with the cyclic collector paused, writes `--json`
 text through one writer with C-encoded leaves, and exits 2 with one
-`error:` line when the reader of its stdout has gone.
+`error:` line when the reader of its stdout has gone. When the reader of
+its stderr has gone, an error exit keeps its code.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ PUBLIC = (
 ).split()
 
 
-def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _python(
+    *args: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on the package under test, stdout buffered."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+        [sys.executable, *args], stdout=stdout, stderr=stderr, env=env, timeout=60
     )
 
 
@@ -247,3 +250,31 @@ def test_a_closed_stdout_exits_two_with_one_error_line(size, tmp_path):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+# -- a closed stderr --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["optimize", CYCLE, "--global"], 1, id="invalid-catalog"),
+        pytest.param(["sets", PARTIAL, "--product", "nope"], 2, id="unknown-id"),
+        pytest.param(["sets", PARTIAL], 2, id="no-construct"),
+    ],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python("-m", "reqlattice.cli", *argv, stderr=write)
+        # `main` returns the code rather than raising, and the interpreter
+        # exits cleanly after it.
+        returned = _python(
+            "-c", "import sys; from reqlattice import cli; print(cli.main(sys.argv[1:]))", *argv,
+            stderr=write,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    assert (returned.returncode, returned.stdout) == (0, f"{code}\n".encode())

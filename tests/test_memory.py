@@ -1,11 +1,13 @@
 """Memory bounds on the benchmark's catalogs, as multiples of the file size,
-and on resolving the scopes of a catalog scoped `"all"` throughout.
+and on resolving and reading the scopes of a catalog scoped `"all"`
+throughout.
 
 Each bound is traced Python allocation (`tracemalloc`) during one call,
 with at least 20% headroom over what the package needs. A loaded catalog
 shares one frozenset per distinct id array and keeps no decoded text,
-`export` streams its `.dot` file, and a resolved `"all"` scope is the
-axis's own id set; a change that gives up any of these crosses a bound.
+`export` streams its `.dot` file, a resolved `"all"` scope is the
+axis's own id set, and a scope map builds only the entries that are read;
+a change that gives up any of these crosses a bound.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import tracemalloc
 
 import catgen  # bench/catgen.py
 from reqlattice import cli
+from reqlattice.algebra import requirements_for
 from reqlattice.io import load, loads
 from reqlattice.model import Catalog, Jurisdiction, Kind, Product, Regulation, Requirement
 
@@ -66,16 +69,32 @@ def test_global_export_peak_stays_near_the_file_size(tmp_path, capsys):
     assert peak <= 8.5 * len(data), f"peak {peak / len(data):.2f}x the file size"
 
 
-def test_resolving_all_scopes_copies_no_axis():
-    catalog = Catalog(
+def _scoped_all_throughout() -> Catalog:
+    """300 jurisdictions, 300 products and 5,000 RL requirements citing one
+    regulation, every scope `"all"`."""
+    return Catalog(
         jurisdictions=[Jurisdiction(f"C{i:03d}") for i in range(300)],
         regulations=[Regulation("g")],
         products=[Product(f"P{i:03d}") for i in range(300)],
         requirements=[Requirement(f"r{i:04d}", Kind.RL, derived_from={"g"}) for i in range(5000)],
     )
+
+
+def test_resolving_all_scopes_copies_no_axis():
+    catalog = _scoped_all_throughout()
     peak, _ = _traced(
         lambda: (catalog._product_scopes, catalog._jurisdiction_scopes, catalog._regulation_scopes)
     )
     # A copy of one axis per requirement would take about 80 MB.
     assert peak <= 500_000, f"peak {peak / 1e6:.2f} MB"
     assert all(scope is catalog.product_ids for scope in catalog._product_scopes)
+
+
+def test_one_projection_builds_one_entry_per_axis():
+    catalog = _scoped_all_throughout()
+    peak, retained = _traced(lambda: requirements_for(catalog, "P007", "C123"))
+    assert len(requirements_for(catalog, "P007", "C123")) == 5000
+    # Both whole maps hold about 157 MB; one entry per axis and the result
+    # about 1.3 MB.
+    assert retained <= 5_000_000, f"retained {retained / 1e6:.2f} MB"
+    assert peak <= 5_000_000, f"peak {peak / 1e6:.2f} MB"

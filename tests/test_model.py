@@ -643,12 +643,29 @@ def test_scope_maps_match_a_per_entity_scan():
         reqs = catalog.requirements
         by_product = scan(reqs, lambda r: r.applies_to_products, pids)
         by_jurisdiction = scan(reqs, lambda r: r.applies_to_jurisdictions, jids)
+        by_regulation = scan(catalog.regulations, lambda r: r.jurisdictions, jids)
         by_kind = {kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind}
+        # A fresh copy whose entries are each read by key, in a shuffled
+        # order, before any map is read whole.
+        by_key = dataclasses.replace(catalog)
+        order = random.Random(trial)
+        for name, want in [
+            ("requirements_by_product", by_product),
+            ("requirements_by_jurisdiction", by_jurisdiction),
+            ("regulations_by_jurisdiction", by_regulation),
+        ]:
+            scope_map = getattr(by_key, name)
+            keys = list(want)
+            order.shuffle(keys)
+            for key in keys:
+                assert scope_map[key] == want[key]
+            assert "ghost" not in scope_map
+            with pytest.raises(KeyError):
+                scope_map["ghost"]
+            assert len(scope_map) == len(want) and list(scope_map) == list(want)
         assert catalog.requirements_by_product == by_product
         assert catalog.requirements_by_jurisdiction == by_jurisdiction
-        assert catalog.regulations_by_jurisdiction == scan(
-            catalog.regulations, lambda r: r.jurisdictions, jids
-        )
+        assert catalog.regulations_by_jurisdiction == by_regulation
         assert catalog.requirements_by_kind == by_kind
         # A fresh copy, so each aggregate is computed before any map exists.
         fresh = dataclasses.replace(catalog)

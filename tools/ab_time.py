@@ -17,8 +17,13 @@ times, each step on a fresh parse of the file's bytes and right after
 * `io.load` of the catalog file, the path every CLI call takes;
 * `model.validate` of a freshly loaded catalog;
 * `refinement.build_graph` of a freshly loaded catalog;
-* one `cli.main(["classify", CATALOG, "--json"])` call, with stdout and
-  stderr captured, which reads the file itself.
+* three `cli.main` calls, each with stdout and stderr captured and each
+  reading the file itself: `classify CATALOG --json` (step `classify`),
+  which reads no requirement scope map; `sets CATALOG --product P
+  --jurisdiction J --json` (step `sets`), one projection; and `optimize
+  CATALOG --jurisdiction J --json` (step `optimize`), one jurisdiction's
+  strongest RL set. P and J are the first product and jurisdiction ids of
+  the loaded catalog.
 
 It prints, per catalog and step, each side's median and quartiles in ms,
 the change of B against A in percent, and in how many pairs B was faster.
@@ -43,7 +48,7 @@ import sys
 import time
 from pathlib import Path
 
-STEPS = ("loads", "load", "validate", "build_graph", "cli.main")
+STEPS = ("loads", "load", "validate", "build_graph", "classify", "sets", "optimize")
 
 
 def _import(src: str, name: str):
@@ -69,7 +74,18 @@ def _timed(call) -> float:
     return (time.perf_counter_ns() - start) / 1e6
 
 
-def _side(lib, path: str, data: bytes, argv: list[str]) -> dict[str, float]:
+def _calls(lib, path: str) -> dict[str, list[str]]:
+    """The `cli.main` argument list of each CLI step."""
+    catalog = lib.io.load(path)
+    product, jurisdiction = catalog.products[0].id, catalog.jurisdictions[0].id
+    return {
+        "classify": ["classify", path, "--json"],
+        "sets": ["sets", path, "--product", product, "--jurisdiction", jurisdiction, "--json"],
+        "optimize": ["optimize", path, "--jurisdiction", jurisdiction, "--json"],
+    }
+
+
+def _side(lib, path: str, data: bytes, calls: dict[str, list[str]]) -> dict[str, float]:
     """One run of every step; the milliseconds per step."""
     times = {"loads": _timed(lambda: lib.io.loads(data))}
     times["load"] = _timed(lambda: lib.io.load(path))
@@ -80,7 +96,8 @@ def _side(lib, path: str, data: bytes, argv: list[str]) -> dict[str, float]:
     del catalog
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        times["cli.main"] = _timed(lambda: lib.cli.main(argv))
+        for step, argv in calls.items():
+            times[step] = _timed(lambda: lib.cli.main(argv))
     return times
 
 
@@ -103,13 +120,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.pairs} pairs per catalog; ms as median [q1, q3]; wins = pairs where B was faster")
     for path in args.catalogs:
         data = Path(path).read_bytes()
-        call = ["classify", path, "--json"]
+        calls = _calls(sides["A"], path)
         times = {(side, step): [] for side in sides for step in STEPS}
         for pair in range(args.pairs):
             for side in (("A", "B") if pair % 2 == 0 else ("B", "A")):
-                for step, ms in _side(sides[side], path, data, call).items():
+                for step, ms in _side(sides[side], path, data, calls).items():
                     times[side, step].append(ms)
-        print(f"\n{path} ({' '.join(call)})")
+        print(f"\n{path}")
+        for step, argv in calls.items():
+            print(f"  {step}: {' '.join(argv[:1] + argv[2:])}")
         print(f"{'step':12s} {'A':>24s} {'B':>24s} {'change':>8s} {'wins':>7s}")
         for step in STEPS:
             a, b = times["A", step], times["B", step]
