@@ -17,11 +17,13 @@ by one writer whose strings go through json's C encoder.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
 import os
 import sys
+from io import StringIO
 from itertools import chain, repeat
 
 from . import io as catalog_io
@@ -53,13 +55,11 @@ def _style(text: str, sgr: str, stream) -> str:
     return f"\x1b[{sgr}m{text}\x1b[0m"
 
 
-def _severity_text(severity: Severity, stream) -> str:
-    return _style(severity.value, "31" if severity is Severity.ERROR else "33", stream)
-
-
 def _issue_line(issue: Issue, stream) -> str:
+    sgr = "31" if issue.severity is Severity.ERROR else "33"
+    severity = _style(issue.severity.value, sgr, stream)
     ids = " [" + ", ".join(issue.ids) + "]" if issue.ids else ""
-    return f"{_severity_text(issue.severity, stream)} {issue.code}: {issue.message}{ids}"
+    return f"{severity} {issue.code}: {issue.message}{ids}"
 
 
 def _issue_json(issue: Issue) -> dict:
@@ -69,41 +69,36 @@ def _issue_json(issue: Issue) -> dict:
 _str = json.encoder.encode_basestring  # the C encoder json.dumps uses per string
 
 
-def _column_text(values, newline: str) -> list[str]:
-    """The texts of `values`, all at the level `newline` gives."""
+def _items_text(values, newline: str) -> list[str]:
+    """The text of each item of `values`, all at the level `newline` gives."""
     try:
         return list(map(_str, values))
     except TypeError:  # not strings only
-        return [_json_text(value, newline) for value in values]
-
-
-def _records_text(records: list, newline: str) -> str | None:
-    """The items of a list of dicts that share their keys in one order,
-    laid out column by column, or None for any other list."""
-    if set(map(type, records)) != {dict}:
-        return None
-    keys = set(map(tuple, records))
-    if len(keys) != 1 or not (keys := keys.pop()):
-        return None
-    inner = newline + "  "
-    columns = [_column_text(column, inner) for column in zip(*map(dict.values, records))]
-    # A record's text is each key's text followed by its value's, then the
-    # close and the separator before the next record, which the last one
-    # does not keep.
-    parts = []
-    for index, (key, column) in enumerate(zip(keys, columns)):
-        parts += [repeat(("," if index else "{") + inner + _str(key) + ": "), column]
-    parts.append(repeat(newline + "}," + newline))
-    return "".join(chain.from_iterable(zip(*parts)))[: -len(newline) - 1]
+        pass
+    if set(map(type, values)) == {dict}:
+        keys = set(map(tuple, values))
+        if len(keys) == 1 and (keys := keys.pop()):
+            # Dicts that share their keys in one order, laid out one key's
+            # column at a time: a record's text is each key's text followed
+            # by its value's, then the close.
+            inner = newline + "  "
+            parts = []
+            for index, (key, column) in enumerate(zip(keys, zip(*map(dict.values, values)))):
+                parts += [repeat(("," if index else "{") + inner + _str(key) + ": "),
+                          _items_text(column, inner)]
+            parts.append(repeat(newline + "}"))
+            return list(map("".join, zip(*parts)))
+    return [_json_text(value, newline) for value in values]
 
 
 def _json_text(value, newline: str = "\n") -> str:
     """`json.dumps(value, indent=2, ensure_ascii=False)` of a CLI payload.
 
     Payloads hold dicts with string keys, lists, strings, ints, bools and
-    None. The containers are laid out here; every string goes through
-    json's C encoder, a list of strings in one `join`, and a list of
-    dicts with the same keys one key's column at a time. (With `indent`,
+    None. The containers are laid out here and every string goes through
+    json's C encoder: a list's items go through `_items_text`, which
+    encodes a list of strings in one `map` and lays out a list of dicts
+    with the same keys one key's column at a time. (With `indent`,
     `json.dumps` takes its pure-Python encoder for every value.)
     `newline` is the line break and indent of the level `value` sits at.
     """
@@ -121,10 +116,7 @@ def _json_text(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = _records_text(value, inner)
-        if items is None:
-            items = ("," + inner).join(_column_text(value, inner))
-        return "[" + inner + items + newline + "]"
+        return "[" + inner + ("," + inner).join(_items_text(value, inner)) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -174,14 +166,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _print_set(ids: RequirementSet, args: argparse.Namespace) -> None:
-    if args.json:
-        _emit_json({"count": len(ids), "ids": list(ids)})
-    else:
-        for requirement_id in ids:
-            print(requirement_id)
-
-
 def cmd_sets(args: argparse.Namespace) -> int:
     if args.rl and args.min:
         raise UnknownFlagCombo("--rl and --min are mutually exclusive")
@@ -207,7 +191,11 @@ def cmd_sets(args: argparse.Namespace) -> int:
         if args.kind is not None:
             of_kind = catalog.requirements_by_kind[Kind(args.kind)]
             result = RequirementSet(result.members & of_kind)
-    _print_set(result, args)
+    if args.json:
+        _emit_json({"count": len(result), "ids": list(result)})
+    else:
+        for requirement_id in result:
+            print(requirement_id)
     return EXIT_OK
 
 
@@ -361,33 +349,54 @@ _parser = functools.cache(build_parser)  # one per process; it holds no catalog 
 
 def _to_null(stream) -> None:
     """Point `stream`'s file descriptor at the null device, so that the
-    interpreter's flush at exit does not fail on a reader that has gone."""
+    interpreter's flush at exit does not fail on a stream that cannot take
+    its text: its reader has gone or its device is full."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, stream.fileno())
     os.close(devnull)
 
 
 def _fail(code: int, *lines: str) -> int:
-    """Write `lines` to stderr and return `code`, also when stderr's reader has gone."""
+    """Write `lines` to stderr, flush it and return `code`, also when
+    stderr cannot take them."""
     try:
         for line in lines:
             print(line, file=sys.stderr)
         sys.stderr.flush()
-    except BrokenPipeError:
+    except OSError:
         _to_null(sys.stderr)
     return code
 
 
+def _flush_stdout() -> None:
+    """Flush stdout, or point it at the null device and raise."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        _to_null(sys.stdout)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     # A command builds only acyclic structures, which reference counting
     # frees, so the cyclic collector is paused while it runs; the state
     # found (enabled or disabled) is restored.
     enabled = gc.isenabled()
     gc.disable()
     try:
+        try:
+            with contextlib.redirect_stdout(StringIO()) as text:
+                args = _parser().parse_args(argv)
+        except SystemExit as done:
+            # argparse exits after its help (stdout) or usage text (stderr),
+            # and drops a failed write. The help text is written here, so a
+            # stdout that cannot take it exits 2; else argparse's code stands.
+            if text.getvalue():
+                sys.stdout.write(text.getvalue())
+            _flush_stdout()
+            raise SystemExit(_fail(done.code))
         code = args.func(args)
-        sys.stdout.flush()
+        _flush_stdout()
         return code
     except CatalogInvalidError as refused:
         lines = [_issue_line(issue, sys.stderr) for issue in refused.report.errors]

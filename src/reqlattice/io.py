@@ -314,11 +314,11 @@ def _check_encodable(text: str) -> None:
         raise SchemaError("catalog strings must not hold lone UTF-16 surrogates") from exc
 
 
-def _text(source: str | bytes) -> str:
+def _text(source: str | bytes | bytearray) -> str:
     """The catalog text of `loads`' argument."""
     if isinstance(source, (bytes, bytearray)):
         try:
-            return bytes(source).decode("utf-8")
+            return source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"catalog is not valid UTF-8: {exc}") from exc
     _check_encodable(source)

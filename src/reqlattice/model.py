@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
-from operator import not_
+from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -115,10 +115,9 @@ class _ScopeMap(Mapping[str, frozenset[str]]):
         return len(self._lists)
 
 
-def _fold(combine, by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    """Combine a map's values with `frozenset.intersection` or `.union`;
-    a map with no entities folds to the empty set."""
-    return combine(*by_entity.values()) if by_entity else frozenset()
+def _every(by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    """The ids in every value of a map; a map with no entities gives the empty set."""
+    return frozenset.intersection(*by_entity.values()) if by_entity else frozenset()
 
 
 _NO_IDS: frozenset[str] = frozenset()
@@ -205,14 +204,12 @@ class Requirement:
     applies_to_jurisdictions: Scope = ALL
 
     def __post_init__(self) -> None:
-        # Values that already have their final type (as `io` passes them)
-        # are kept as they are; anything else is coerced.
-        if type(self.kind) is not Kind:
-            object.__setattr__(self, "kind", Kind(self.kind))
-        if type(self.derived_from) is not frozenset:
-            object.__setattr__(self, "derived_from", frozenset(self.derived_from))
-        if type(self.human_factors) is not frozenset:
-            object.__setattr__(self, "human_factors", frozenset(self.human_factors))
+        # A kind name and any iterable of ids are coerced; `Kind(x)` and
+        # `frozenset(x)` return `x` itself when it already has that type.
+        # (`io` fills the slots directly and never calls this.)
+        object.__setattr__(self, "kind", Kind(self.kind))
+        object.__setattr__(self, "derived_from", frozenset(self.derived_from))
+        object.__setattr__(self, "human_factors", frozenset(self.human_factors))
         if not _is_scope(self.applies_to_products):
             object.__setattr__(self, "applies_to_products", frozenset(self.applies_to_products))
         if not _is_scope(self.applies_to_jurisdictions):
@@ -240,21 +237,11 @@ class Catalog:
     refinements: tuple[RefinementEdge, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "jurisdictions", tuple(sorted(self.jurisdictions, key=lambda e: e.id))
-        )
-        object.__setattr__(
-            self, "regulations", tuple(sorted(self.regulations, key=lambda e: e.id))
-        )
-        object.__setattr__(self, "products", tuple(sorted(self.products, key=lambda e: e.id)))
-        object.__setattr__(
-            self, "requirements", tuple(sorted(self.requirements, key=lambda e: e.id))
-        )
-        object.__setattr__(
-            self,
-            "refinements",
-            tuple(sorted(self.refinements, key=lambda e: (e.stronger, e.weaker))),
-        )
+        by_id = attrgetter("id")
+        for name in ("jurisdictions", "regulations", "products", "requirements"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
+        edges = sorted(self.refinements, key=attrgetter("stronger", "weaker"))
+        object.__setattr__(self, "refinements", tuple(edges))
 
     @cached_property
     def jurisdiction_ids(self) -> frozenset[str]:
@@ -293,11 +280,11 @@ class Catalog:
     # reads one entity's entry builds that entry alone.  A duplicated id
     # covers the union of its scopes, which can cover every entity when no
     # one scope does; so a catalog with a duplicated id (`validate` refuses
-    # it) folds the map for an "every" aggregate.  A "some" pass needs no
-    # such guard: the union meets the axis exactly when one of its scopes
-    # does.  An axis with no entities has empty aggregates ("every" is not
-    # the vacuous universe; the constructs that need an "every" refuse an
-    # empty axis first).
+    # it) intersects the map's entries for an "every" aggregate.  A "some"
+    # pass needs no such guard: the union meets the axis exactly when one
+    # of its scopes does.  An axis with no entities has empty aggregates
+    # ("every" is not the vacuous universe; the constructs that need an
+    # "every" refuse an empty axis first).
     # Filling in a list, a map, a map's entry or an aggregate is idempotent.
 
     @cached_property
@@ -353,7 +340,7 @@ class Catalog:
     @cached_property
     def requirements_on_every_product(self) -> frozenset[str]:
         if len(self.requirement_ids) != len(self.requirements):
-            return _fold(frozenset.intersection, self.requirements_by_product)
+            return _every(self.requirements_by_product)
         return self._covering(self._product_scopes, self.product_ids, every=True)
 
     @cached_property
@@ -363,7 +350,7 @@ class Catalog:
     @cached_property
     def requirements_in_every_jurisdiction(self) -> frozenset[str]:
         if len(self.requirement_ids) != len(self.requirements):
-            return _fold(frozenset.intersection, self.requirements_by_jurisdiction)
+            return _every(self.requirements_by_jurisdiction)
         return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=True)
 
     @cached_property
@@ -444,7 +431,7 @@ def _check_refs(
 ) -> None:
     if known.issuperset(refs):
         return
-    for ref in sorted(refs):
+    for ref in refs:
         if ref not in known:
             issues.append(
                 _error(

@@ -214,6 +214,14 @@ def test_impact_reports_the_products_of_the_citing_requirements():
     assert change_impact(catalog, "s1").affected_products == ("P1",)
     assert change_impact(catalog, "g").affected_products == ("P2",)
     assert list(change_impact(catalog, "s1").affected_requirements) == ["X"]
+    # A product id the catalog lacks (`validate` refuses it too) is no product.
+    unknown = dataclasses.replace(
+        PARTIAL_CATALOG,
+        requirements=[
+            Requirement("Y", Kind.RL, derived_from={"s1"}, applies_to_products={"P1", "P9"})
+        ],
+    )
+    assert change_impact(unknown, "s1").affected_products == ("P1",)
 
 
 def test_impact_of_unknown_regulation():
@@ -258,6 +266,13 @@ def test_reuse_all_all_requirement_is_shared_everywhere():
     assert len(report.clusters) == 1
     assert report.clusters[0].applies_to_products is ALL
     assert list(report.clusters[0].members) == ["r1"]
+    # An "all" scope sorts before any explicit one, even one that names
+    # every product and holds a smaller id.
+    explicit = Requirement("r0", Kind.RL, derived_from={"g"}, applies_to_products={"P1", "P2"})
+    report = reuse_candidates(
+        dataclasses.replace(catalog, requirements=[*catalog.requirements, explicit])
+    )
+    assert [list(cluster.members) for cluster in report.clusters] == [["r1"], ["r0"]]
 
 
 def test_reuse_shared_set_equals_double_intersection():

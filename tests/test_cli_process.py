@@ -3,13 +3,16 @@
 A CLI call imports `reqlattice.analysis` only for the commands that call
 it, runs its command with the cyclic collector paused, writes `--json`
 text through one writer with C-encoded leaves, and exits 2 with one
-`error:` line when the reader of its stdout has gone. When the reader of
-its stderr has gone, an error exit keeps its code.
+`error:` line when its stdout cannot take its text (the reader has gone,
+or the device is full), argparse's help text included. When its stderr
+cannot take its text, the exit code stays as it is.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
+import functools
 import gc
 import io
 import json
@@ -50,11 +53,14 @@ PUBLIC = (
 
 
 def _python(
-    *args: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    *args: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False
 ) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on the package under test, stdout buffered."""
+    """Run a fresh interpreter on the package under test, stdout buffered
+    unless `unbuffered`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=stderr, env=env, timeout=60
     )
@@ -278,3 +284,64 @@ def test_a_closed_stderr_keeps_the_exit_code(argv, code):
         os.close(write)
     assert done.returncode == code
     assert (returned.returncode, returned.stdout) == (0, f"{code}\n".encode())
+
+
+# -- a stdout or stderr that cannot take its text -------------------------------
+
+
+@contextlib.contextmanager
+def _dead(target: str):
+    """A file descriptor whose writes fail: a pipe whose reader has closed,
+    or the full device."""
+    if target == "closed-pipe":
+        read, write = os.pipe()
+        os.close(read)
+    else:
+        write = os.open("/dev/full", os.O_WRONLY)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+@functools.cache
+def _intact(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+    return _python("-m", "reqlattice.cli", *argv)
+
+
+FULL_DEVICE = pytest.param(
+    "full-device",
+    marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform"),
+)
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", FULL_DEVICE])
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("--help",), id="help"),
+        pytest.param(("sets", "--help"), id="sets-help"),
+        pytest.param(("optimize", PARTIAL), id="usage-error"),
+        pytest.param(("classify", CHAIN, "--json"), id="output"),
+        pytest.param(("optimize", CYCLE, "--global"), id="invalid-catalog"),
+    ],
+)
+def test_a_dead_stream_keeps_the_exit_code_contract(argv, stream, target):
+    # Buffered, a write fails when the stream is flushed; unbuffered, it
+    # fails at once (argparse drops such a failure itself).
+    intact = _intact(argv)
+    with _dead(target) as write:
+        runs = [
+            _python("-m", "reqlattice.cli", *argv, unbuffered=unbuffered, **{stream: write})
+            for unbuffered in (False, True)
+        ]
+    code = errno.EPIPE if target == "closed-pipe" else errno.ENOSPC
+    for done in runs:
+        if stream == "stderr":
+            assert (done.returncode, done.stdout) == (intact.returncode, intact.stdout)
+        elif intact.stdout:
+            error = f"error: [Errno {code}] {os.strerror(code)}\n".encode()
+            assert (done.returncode, done.stderr) == (2, error)
+        else:
+            assert (done.returncode, done.stderr) == (intact.returncode, intact.stderr)

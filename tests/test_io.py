@@ -118,6 +118,11 @@ def test_wrong_types_are_schema_errors():
     with pytest.raises(SchemaError, match="requirements"):
         loads(json.dumps(doc))
 
+    for text, name in (("[]", "list"), ("5", "int"), ('"x"', "str"), ("null", "NoneType")):
+        with pytest.raises(SchemaError) as excinfo:
+            loads(text)
+        assert str(excinfo.value) == f"top level: expected object, got {name}"
+
     doc = json.loads(MINIMAL)
     doc["requirements"] = [
         {
@@ -407,6 +412,12 @@ def test_a_repeated_key_is_a_schema_error_that_names_it():
     # Keys that differ only by an escape are the same key once decoded.
     escaped = MINIMAL.replace('"version": 1', '"version": 1, "versio\\u006e": 1')
     assert _schema_message(escaped) == "repeated key 'version' in a JSON object"
+    # A kept value whose colon is an escape: the text holds one colon fewer
+    # than the decoded document, which balances the repeat's own colon.
+    colon = MINIMAL.replace(
+        '"jurisdictions": []', '"jurisdictions": [{"id": "C1", "name": "y", "name": "x\\u003a"}]'
+    )
+    assert _schema_message(colon) == "repeated key 'name' in a JSON object"
 
 
 def test_a_repeat_is_reported_before_any_later_error(tmp_path):
@@ -464,20 +475,25 @@ COLON_CATALOGS = st.builds(
 
 
 def _text_with_repeat(document: dict, target: int, key_index: int, value, first: bool,
-                      escaped_key: bool, ensure_ascii: bool) -> str:
+                      escaped_key: bool, escaped_colon: bool, ensure_ascii: bool) -> str:
     """`document` as JSON text in which the `target`-th object (in text
     order) holds one of its keys twice: once with `value`, placed before or
-    after the original pair, its name spelled with a unicode escape if asked."""
+    after the original pair, its name spelled with a unicode escape if asked,
+    and each colon in the text of `value` spelled `\\u003a` if asked."""
     objects = iter(range(target + 1))
 
     def write(node) -> str:
         if isinstance(node, dict):
-            pairs = [(json.dumps(key), child) for key, child in node.items()]
-            if next(objects, None) == target:
+            repeats = next(objects, None) == target
+            pairs = [(json.dumps(key), write(child)) for key, child in node.items()]
+            if repeats:
                 key = list(node)[key_index % len(node)]
                 spelled = f'"\\u{ord(key[0]):04x}{key[1:]}"' if escaped_key else json.dumps(key)
-                pairs.insert(0 if first else len(pairs), (spelled, value))
-            return "{" + ", ".join(f"{key}: {write(child)}" for key, child in pairs) + "}"
+                text = write(value)
+                if escaped_colon:
+                    text = text.replace(":", "\\u003a")
+                pairs.insert(0 if first else len(pairs), (spelled, text))
+            return "{" + ", ".join(f"{key}: {text}" for key, text in pairs) + "}"
         if isinstance(node, list):
             return "[" + ", ".join(map(write, node)) + "]"
         return json.dumps(node, ensure_ascii=ensure_ascii)
@@ -493,24 +509,27 @@ def _text_with_repeat(document: dict, target: int, key_index: int, value, first:
     value=st.sampled_from(["x:y", ":", "", "all", 7, ["a:b"], [], None]),
     first=st.booleans(),
     escaped_key=st.booleans(),
+    escaped_colon=st.booleans(),
     ensure_ascii=st.booleans(),
 )
 def test_a_repeated_key_is_found_as_the_hook_finds_it(
-    catalog, target, key_index, value, first, escaped_key, ensure_ascii
+    catalog, target, key_index, value, first, escaped_key, escaped_colon, ensure_ascii
 ):
     document = _plain_dict(catalog)
     objects = 1 + sum(len(document[label]) for label in _COLLECTIONS)
     text = _text_with_repeat(
-        document, target % objects, key_index, value, first, escaped_key, ensure_ascii
+        document, target % objects, key_index, value, first, escaped_key, escaped_colon,
+        ensure_ascii,
     )
     with pytest.raises(SchemaError) as expected:
         json.loads(text, object_pairs_hook=catalog_io._object)
-    for source in (text, text.encode("utf-8")):
+    for source in (text, text.encode("utf-8"), bytearray(text, "utf-8")):
         with pytest.raises(SchemaError) as excinfo:
             loads(source)
         assert str(excinfo.value) == str(expected.value)
     # The same text without the repeat loads to the catalog.
-    assert loads(_text_with_repeat(document, -1, 0, None, first, False, ensure_ascii)) == catalog
+    plain = _text_with_repeat(document, -1, 0, None, first, False, False, ensure_ascii)
+    assert loads(plain) == catalog
 
 
 def _constructed(text: str | bytes) -> Catalog:
@@ -611,6 +630,7 @@ def test_load_missing_file_is_a_parse_error(tmp_path):
 
 def test_round_trip_identity_and_canonicalisation():
     assert loads(save(SMALL)) == SMALL
+    assert loads(bytearray(save(SMALL))) == SMALL
     assert save(loads(save(SMALL))) == save(SMALL)
 
     # A document with unsorted arrays canonicalises to the same bytes as

@@ -17,13 +17,15 @@ times, each step on a fresh parse of the file's bytes and right after
 * `io.load` of the catalog file, the path every CLI call takes;
 * `model.validate` of a freshly loaded catalog;
 * `refinement.build_graph` of a freshly loaded catalog;
-* three `cli.main` calls, each with stdout and stderr captured and each
+* four `cli.main` calls, each with stdout and stderr captured and each
   reading the file itself: `classify CATALOG --json` (step `classify`),
   which reads no requirement scope map; `sets CATALOG --product P
-  --jurisdiction J --json` (step `sets`), one projection; and `optimize
+  --jurisdiction J --json` (step `sets`), one projection; `optimize
   CATALOG --jurisdiction J --json` (step `optimize`), one jurisdiction's
-  strongest RL set. P and J are the first product and jurisdiction ids of
-  the loaded catalog.
+  strongest RL set; and `optimize CATALOG --global --json` (step
+  `global`), whose `--json` payload, a list of kept ids and a list of
+  records, is the largest of the four. P and J are the first product and
+  jurisdiction ids of the loaded catalog.
 
 It prints, per catalog and step, each side's median and quartiles in ms,
 the change of B against A in percent, and in how many pairs B was faster.
@@ -48,7 +50,7 @@ import sys
 import time
 from pathlib import Path
 
-STEPS = ("loads", "load", "validate", "build_graph", "classify", "sets", "optimize")
+STEPS = ("loads", "load", "validate", "build_graph", "classify", "sets", "optimize", "global")
 
 
 def _import(src: str, name: str):
@@ -82,6 +84,7 @@ def _calls(lib, path: str) -> dict[str, list[str]]:
         "classify": ["classify", path, "--json"],
         "sets": ["sets", path, "--product", product, "--jurisdiction", jurisdiction, "--json"],
         "optimize": ["optimize", path, "--jurisdiction", jurisdiction, "--json"],
+        "global": ["optimize", path, "--global", "--json"],
     }
 
 
