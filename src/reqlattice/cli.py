@@ -391,8 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             # argparse exits after its help (stdout) or usage text (stderr),
             # and drops a failed write. The help text is written here, so a
             # stdout that cannot take it exits 2; else argparse's code stands.
-            if text.getvalue():
-                sys.stdout.write(text.getvalue())
+            sys.stdout.write(text.getvalue())
             _flush_stdout()
             raise SystemExit(_fail(done.code))
         code = args.func(args)
@@ -401,11 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     except CatalogInvalidError as refused:
         lines = [_issue_line(issue, sys.stderr) for issue in refused.report.errors]
         return _fail(EXIT_INVALID, *lines, "refusing to analyse a catalog with validation errors")
-    except BrokenPipeError as exc:
-        # The reader of stdout has gone.
-        _to_null(sys.stdout)
-        return _fail(EXIT_USAGE, f"error: {exc}")
     except (ReqlatticeError, OSError) as exc:
+        # Text that stdout could not take (its reader has gone or its
+        # device is full) is dropped, so the flush at exit cannot fail.
+        with contextlib.suppress(OSError):
+            _flush_stdout()
         return _fail(EXIT_USAGE, f"error: {exc}")
     finally:
         if enabled:

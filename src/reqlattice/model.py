@@ -238,8 +238,10 @@ class Catalog:
 
     def __post_init__(self) -> None:
         by_id = attrgetter("id")
-        for name in ("jurisdictions", "regulations", "products", "requirements"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
+        object.__setattr__(self, "jurisdictions", tuple(sorted(self.jurisdictions, key=by_id)))
+        object.__setattr__(self, "regulations", tuple(sorted(self.regulations, key=by_id)))
+        object.__setattr__(self, "products", tuple(sorted(self.products, key=by_id)))
+        object.__setattr__(self, "requirements", tuple(sorted(self.requirements, key=by_id)))
         edges = sorted(self.refinements, key=attrgetter("stronger", "weaker"))
         object.__setattr__(self, "refinements", tuple(edges))
 

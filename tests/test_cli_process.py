@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import functools
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -235,57 +235,6 @@ def test_writer_refuses_values_outside_the_cli_payloads():
             cli._json_text({"x": value})
 
 
-# -- a closed stdout --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("size", ["small", "large"])
-def test_a_closed_stdout_exits_two_with_one_error_line(size, tmp_path):
-    if size == "small":
-        argv = ["classify", CHAIN, "--json"]
-    else:
-        path = tmp_path / "deep.reqcat.json"
-        path.write_text(catgen.generate(catgen.SHAPES["deep"], 11).text(), encoding="utf-8")
-        argv = ["optimize", str(path), "--global", "--json"]
-        whole = _python("-m", "reqlattice.cli", *argv)
-        # More than stdout's buffer holds, so a write inside the command fails.
-        assert whole.returncode == 0 and len(whole.stdout) > 8 * io.DEFAULT_BUFFER_SIZE
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = _python("-m", "reqlattice.cli", *argv, stdout=write)
-    finally:
-        os.close(write)
-    assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
-
-
-# -- a closed stderr --------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        pytest.param(["optimize", CYCLE, "--global"], 1, id="invalid-catalog"),
-        pytest.param(["sets", PARTIAL, "--product", "nope"], 2, id="unknown-id"),
-        pytest.param(["sets", PARTIAL], 2, id="no-construct"),
-    ],
-)
-def test_a_closed_stderr_keeps_the_exit_code(argv, code):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = _python("-m", "reqlattice.cli", *argv, stderr=write)
-        # `main` returns the code rather than raising, and the interpreter
-        # exits cleanly after it.
-        returned = _python(
-            "-c", "import sys; from reqlattice import cli; print(cli.main(sys.argv[1:]))", *argv,
-            stderr=write,
-        )
-    finally:
-        os.close(write)
-    assert done.returncode == code
-    assert (returned.returncode, returned.stdout) == (0, f"{code}\n".encode())
-
-
 # -- a stdout or stderr that cannot take its text -------------------------------
 
 
@@ -304,44 +253,116 @@ def _dead(target: str):
         os.close(write)
 
 
-@functools.cache
-def _intact(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
-    return _python("-m", "reqlattice.cli", *argv)
+def _dead_cases(*cases):
+    """Each case against a closed pipe and the full device, with the
+    streams buffered and unbuffered; the closed, buffered run keeps the
+    case's id."""
+    no_device = pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full on this platform"
+    )
+    for case in cases:
+        for target, unbuffered in itertools.product(("closed-pipe", "full-device"), (False, True)):
+            suffix = ("-full-device" if target == "full-device" else "") + (
+                "-unbuffered" if unbuffered else ""
+            )
+            marks = [no_device] if target == "full-device" else []
+            yield pytest.param(*case.values, target, unbuffered, id=case.id + suffix, marks=marks)
 
 
-FULL_DEVICE = pytest.param(
-    "full-device",
-    marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform"),
-)
+DEEP = "<deep>"
 
 
-@pytest.mark.parametrize("target", ["closed-pipe", FULL_DEVICE])
-@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory) -> str:
+    """The `deep` bench catalog, whose `optimize --global` output, as text
+    and as JSON, is more than stdout's buffer holds, so a write inside the
+    command fails."""
+    path = tmp_path_factory.mktemp("deep") / "deep.reqcat.json"
+    path.write_text(catgen.generate(catgen.SHAPES["deep"], 11).text(), encoding="utf-8")
+    for json_flag in (["--json"], []):
+        whole = _python("-m", "reqlattice.cli", "optimize", str(path), "--global", *json_flag)
+        assert whole.returncode == 0 and len(whole.stdout) > 4 * io.DEFAULT_BUFFER_SIZE
+    return str(path)
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(("--help",), id="help"),
-        pytest.param(("sets", "--help"), id="sets-help"),
-        pytest.param(("optimize", PARTIAL), id="usage-error"),
-        pytest.param(("classify", CHAIN, "--json"), id="output"),
-        pytest.param(("optimize", CYCLE, "--global"), id="invalid-catalog"),
-    ],
+    "argv, target, unbuffered",
+    _dead_cases(
+        pytest.param(["classify", CHAIN, "--json"], id="small"),
+        pytest.param(["optimize", DEEP, "--global", "--json"], id="large"),
+        pytest.param(["optimize", DEEP, "--global"], id="large-text"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["sets", "--help"], id="sets-help"),
+    ),
 )
-def test_a_dead_stream_keeps_the_exit_code_contract(argv, stream, target):
-    # Buffered, a write fails when the stream is flushed; unbuffered, it
-    # fails at once (argparse drops such a failure itself).
-    intact = _intact(argv)
+def test_a_closed_stdout_exits_two_with_one_error_line(argv, target, unbuffered, deep):
+    # Buffered, a write fails when the buffer fills or is flushed;
+    # unbuffered, it fails at once (argparse drops such a failure itself).
+    argv = [deep if arg == DEEP else arg for arg in argv]
     with _dead(target) as write:
-        runs = [
-            _python("-m", "reqlattice.cli", *argv, unbuffered=unbuffered, **{stream: write})
-            for unbuffered in (False, True)
-        ]
+        done = _python("-m", "reqlattice.cli", *argv, stdout=write, unbuffered=unbuffered)
     code = errno.EPIPE if target == "closed-pipe" else errno.ENOSPC
-    for done in runs:
-        if stream == "stderr":
-            assert (done.returncode, done.stdout) == (intact.returncode, intact.stdout)
-        elif intact.stdout:
-            error = f"error: [Errno {code}] {os.strerror(code)}\n".encode()
-            assert (done.returncode, done.stderr) == (2, error)
-        else:
-            assert (done.returncode, done.stderr) == (intact.returncode, intact.stderr)
+    error = f"error: [Errno {code}] {os.strerror(code)}\n".encode()
+    assert (done.returncode, done.stderr) == (2, error)
+
+
+class _FullDevice(io.RawIOBase):
+    """Raw output on the file descriptor `fd` that fails as a full device
+    does, until `fd` is pointed at another file."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.file = os.fstat(fd)[1:3]  # (inode, device)
+
+    def writable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, data) -> int:
+        if os.fstat(self.fd)[1:3] == self.file:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(data)
+
+
+def test_text_left_in_stdout_by_a_failed_write_is_dropped(monkeypatch, capsys):
+    # A write that fails inside a command leaves the buffer's text in place;
+    # the interpreter's flush at exit would fail on it and exit 120.
+    read, write = os.pipe()
+    stdout = io.TextIOWrapper(
+        io.BufferedWriter(_FullDevice(write), buffer_size=4), encoding="utf-8", write_through=True
+    )
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(["sets", PARTIAL, "--product", "P1"]) == 2
+        stdout.flush()
+    finally:
+        os.close(read)
+        os.close(write)
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, target, unbuffered",
+    _dead_cases(
+        pytest.param(["optimize", CYCLE, "--global"], 1, id="invalid-catalog"),
+        pytest.param(["sets", PARTIAL, "--product", "nope"], 2, id="unknown-id"),
+        pytest.param(["sets", PARTIAL], 2, id="no-construct"),
+        pytest.param(["optimize", PARTIAL], 2, id="usage-error"),
+    ),
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, target, unbuffered):
+    # `main` ends with the code (argparse's usage error raises it) rather
+    # than an exception, and the interpreter exits cleanly after it.
+    run_main = (
+        "import sys\nfrom reqlattice import cli\n"
+        "try:\n    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exit:\n    code = exit.code\n"
+        "print(code)"
+    )
+    with _dead(target) as write:
+        done = _python("-m", "reqlattice.cli", *argv, stderr=write, unbuffered=unbuffered)
+        returned = _python("-c", run_main, *argv, stderr=write, unbuffered=unbuffered)
+    assert done.returncode == code
+    assert (returned.returncode, returned.stdout) == (0, f"{code}\n".encode())

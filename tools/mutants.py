@@ -1,6 +1,6 @@
 """Run a fixed list of hand-written mutants of `src/` against tier-1.
 
-Usage: python tools/mutants.py [--only TEXT]
+Usage: python tools/mutants.py
 
 Each entry of MUTANTS and EQUIVALENT is (module, snippet, replacement,
 reason): `snippet` occurs exactly once in `src/reqlattice/<module>.py`,
@@ -15,8 +15,8 @@ directory, applies the one replacement there and runs `python -m pytest
 -x -q` in it, leaving out `tests/test_mutants.py`, which checks this list
 against the unmutated source. It prints whether the tests killed the
 mutant, the first failing test and the time taken, and exits 1 if a
-mutant of MUTANTS survives. The working tree is only read. `--only TEXT`
-runs the entries whose module, snippet or reason holds TEXT.
+mutant of MUTANTS survives. The working tree is only read. One mutant
+can be re-checked from a Python prompt with `run(entry)`.
 
 A mutant takes 3 to 40 s on a 2-core host, and the whole list about 13
 minutes, so this stays outside tier-1. A tier-1 test
@@ -26,7 +26,6 @@ once, so a change to a listed line must update this list.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -116,6 +115,8 @@ MUTANTS = [
     ("cli", "    except OSError:\n        _to_null(sys.stderr)",
      "    except BrokenPipeError:\n        _to_null(sys.stderr)",
      "an error exit keeps its code when stderr is the full device"),
+    ("cli", "        with contextlib.suppress(OSError):\n            _flush_stdout()\n", "",
+     "text left in stdout by a write that failed inside a command is dropped"),
 ]
 
 EQUIVALENT = [
@@ -187,13 +188,8 @@ def run(entry: tuple[str, str, str, str]) -> tuple[bool, str, float]:
     return True, _first_failure(done.stdout + done.stderr), seconds
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", metavar="TEXT", help="run the entries that mention TEXT")
-    args = parser.parse_args(argv)
+def main() -> int:
     entries = [(entry, False) for entry in MUTANTS] + [(entry, True) for entry in EQUIVALENT]
-    if args.only:
-        entries = [(e, eq) for e, eq in entries if any(args.only in part for part in e)]
     unmarked = 0
     for (module, snippet, replacement, reason), equivalent in entries:
         label = f"{module}: {' '.join(snippet.split())[:70]}"
