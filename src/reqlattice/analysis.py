@@ -32,7 +32,6 @@ from .model import (
     Catalog,
     Issue,
     Kind,
-    Requirement,
     Scope,
     Severity,
 )
@@ -161,6 +160,10 @@ def _scope_sort_key(scope: Scope) -> tuple[str, ...]:
     return tuple(sorted(scope))
 
 
+def _join(a: Scope, b: Scope) -> Scope:
+    return ALL if a is ALL or b is ALL else a | b
+
+
 def reuse_candidates(catalog: Catalog) -> ReuseReport:
     """Identify what can be built once and reused for the whole product set.
 
@@ -175,23 +178,18 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
 
     shared = frozenset.intersection(*(minimum.members for minimum in minima.values()))
     pool = frozenset().union(*(minimum.members for minimum in minima.values()))
-    first: dict[str, Requirement] = {}  # the first requirement of each pool id
+    # Each pool id's product and jurisdiction scopes, joined over its rows.
+    scopes: dict[str, tuple[Scope, Scope]] = {}
     for req in catalog.requirements:
         if req.id in pool:
-            first.setdefault(req.id, req)
+            pair = req.applies_to_products, req.applies_to_jurisdictions
+            scopes[req.id] = tuple(map(_join, scopes[req.id], pair)) if req.id in scopes else pair
     by_signature: dict[tuple[tuple[str, ...], tuple[str, ...]], set[str]] = {}
-    for rid, req in first.items():
-        key = (
-            _scope_sort_key(req.applies_to_products),
-            _scope_sort_key(req.applies_to_jurisdictions),
-        )
+    for rid, (products, jurisdictions) in scopes.items():
+        key = (_scope_sort_key(products), _scope_sort_key(jurisdictions))
         by_signature.setdefault(key, set()).add(rid)
     clusters = tuple(
-        ReuseCluster(
-            applies_to_products=first[min(members)].applies_to_products,
-            applies_to_jurisdictions=first[min(members)].applies_to_jurisdictions,
-            members=RequirementSet(members),
-        )
+        ReuseCluster(*scopes[min(members)], RequirementSet(members))
         for _, members in sorted(by_signature.items())
     )
     return ReuseReport(

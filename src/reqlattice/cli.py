@@ -1,12 +1,12 @@
 """Command-line surface: validate, sets, optimize, classify, impact, export.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage/IO/parse error,
-including a stdout whose reader has closed the pipe; a stderr whose reader
-has gone changes no exit code. Reports go to stdout, diagnostics to
-stderr. With --json every command emits exactly one JSON document on
-stdout and nothing else there. Analytical commands refuse to run on
-catalogs with validation errors. Set REQLATTICE_NO_COLOR to disable ANSI
-styling.
+including a stdout that cannot take the output (its reader has gone or
+its device is full); a stderr that cannot take its lines changes no exit
+code. Reports go to stdout, diagnostics to stderr. With --json every
+command emits exactly one JSON document on stdout and nothing else there.
+Analytical commands refuse to run on catalogs with validation errors. Set
+REQLATTICE_NO_COLOR to disable ANSI styling.
 
 A call does only the work its command needs: `analysis` is imported by
 the three commands that call it (validate, classify, impact), the cyclic
@@ -356,9 +356,21 @@ def _to_null(stream) -> None:
     os.close(devnull)
 
 
-def _fail(code: int, *lines: str) -> int:
-    """Write `lines` to stderr, flush it and return `code`, also when
-    stderr cannot take them."""
+def _finish(code: int, *lines: str) -> int:
+    """Flush stdout, write `lines` to stderr and return `code`: every way
+    out of `main` ends here once.
+
+    A stream that cannot take its text is pointed at the null device. On
+    stdout that is an IO error: the call exits 2 with its one `error:` line
+    in place of `lines`. (A command writes to stdout only after its last
+    check, so `lines` then report nothing or this same failure.) On stderr
+    it changes no exit code.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        _to_null(sys.stdout)
+        code, lines = EXIT_USAGE, (f"error: {exc}",)
     try:
         for line in lines:
             print(line, file=sys.stderr)
@@ -366,15 +378,6 @@ def _fail(code: int, *lines: str) -> int:
     except OSError:
         _to_null(sys.stderr)
     return code
-
-
-def _flush_stdout() -> None:
-    """Flush stdout, or point it at the null device and raise."""
-    try:
-        sys.stdout.flush()
-    except OSError:
-        _to_null(sys.stdout)
-        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,23 +392,15 @@ def main(argv: list[str] | None = None) -> int:
                 args = _parser().parse_args(argv)
         except SystemExit as done:
             # argparse exits after its help (stdout) or usage text (stderr),
-            # and drops a failed write. The help text is written here, so a
-            # stdout that cannot take it exits 2; else argparse's code stands.
+            # and drops a failed write, so the help text is written here.
             sys.stdout.write(text.getvalue())
-            _flush_stdout()
-            raise SystemExit(_fail(done.code))
-        code = args.func(args)
-        _flush_stdout()
-        return code
+            raise SystemExit(_finish(done.code))
+        return _finish(args.func(args))
     except CatalogInvalidError as refused:
         lines = [_issue_line(issue, sys.stderr) for issue in refused.report.errors]
-        return _fail(EXIT_INVALID, *lines, "refusing to analyse a catalog with validation errors")
+        return _finish(EXIT_INVALID, *lines, "refusing to analyse a catalog with validation errors")
     except (ReqlatticeError, OSError) as exc:
-        # Text that stdout could not take (its reader has gone or its
-        # device is full) is dropped, so the flush at exit cannot fail.
-        with contextlib.suppress(OSError):
-            _flush_stdout()
-        return _fail(EXIT_USAGE, f"error: {exc}")
+        return _finish(EXIT_USAGE, f"error: {exc}")
     finally:
         if enabled:
             gc.enable()

@@ -198,10 +198,7 @@ _ALL_IF_STR = {str: ALL}.get  # (type, value) -> ALL for a string, else value
 
 def _scopes(column: list, shared: _Shared) -> tuple[list[Scope], int]:
     types = list(map(type, column))
-    strings = types.count(str)
-    if not strings:
-        return _ids(column, shared)
-    if column.count("all") != strings:
+    if column.count("all") != types.count(str):
         raise _Mismatch
     # Each "all" goes through _ids as an empty array and comes out as ALL.
     sets, colons = _ids(list(map(_EMPTY_IF_STR, types, column)), shared)

@@ -273,6 +273,21 @@ def test_reuse_all_all_requirement_is_shared_everywhere():
         dataclasses.replace(catalog, requirements=[*catalog.requirements, explicit])
     )
     assert [list(cluster.members) for cluster in report.clusters] == [["r1"], ["r0"]]
+    # A duplicated id (`validate` refuses it) has the union of its rows'
+    # scopes, as in `rl_min`: here every product, and ALL jurisdictions.
+    rows = [
+        Requirement(
+            "r1", Kind.RL, derived_from={"g"}, applies_to_products=products,
+            applies_to_jurisdictions=jurisdictions,
+        )
+        for products, jurisdictions in [({"P1"}, {"C1"}), ({"P2"}, ALL), ({"P1"}, {"C2"})]
+    ]
+    report = reuse_candidates(dataclasses.replace(catalog, requirements=rows))
+    assert list(report.shared_across_all) == ["r1"]
+    assert [
+        (cluster.applies_to_products, cluster.applies_to_jurisdictions, list(cluster.members))
+        for cluster in report.clusters
+    ] == [(frozenset({"P1", "P2"}), ALL, ["r1"])]
 
 
 def test_reuse_shared_set_equals_double_intersection():

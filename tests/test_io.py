@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import random
+import sys
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -386,10 +387,31 @@ def test_first_schema_error_in_document_order_wins(collections, message):
     assert _schema_message(_document(**collections)) == message
 
 
-def test_deeply_nested_document_is_a_parse_error():
+def test_deeply_nested_document_is_a_parse_error(monkeypatch):
     depth = 100_000
     with pytest.raises(ParseError, match="nested too deeply"):
         loads("[" * depth + "]" * depth)
+    # A `\u` escape sends the text through `_check_strings`, whose
+    # `json.dumps` meets the recursion limit a little sooner than the
+    # parse: near the limit some depth parses and then overflows there.
+    # Which depth does shifts with the caller's stack, so every depth up
+    # to the limit is loaded.
+    check = catalog_io._check_strings
+    overflowed = []
+
+    def check_strings(document):
+        try:
+            check(document)
+        except ParseError:
+            overflowed.append(depth)
+            raise
+
+    monkeypatch.setattr(catalog_io, "_check_strings", check_strings)
+    for depth in range(1, sys.getrecursionlimit()):
+        nested = "[" * depth + '"\\u00e9"' + "]" * depth
+        with pytest.raises((ParseError, SchemaError)):
+            loads('{"version": 1, "x": ' + nested + "}")
+    assert overflowed
 
 
 def test_overlong_integer_literal_is_a_parse_error():

@@ -440,6 +440,23 @@ def scan(owners, scope_of, universe) -> dict[str, frozenset[str]]:
     }
 
 
+class RacingSets(dict):
+    """A fresh scope map's built entries, where another reader builds the
+    entry of the map's first miss between the map's two lookups of it."""
+
+    def __init__(self, scope_map):
+        super().__init__()
+        self.scope_map = scope_map
+        self.raced = False
+
+    def __getitem__(self, key):
+        if not self.raced and key not in self:
+            self.raced = True
+            self.scope_map[key]  # the other reader, which finds no race
+            raise KeyError(key)
+        return super().__getitem__(key)
+
+
 def with_foreign_ids(rng: random.Random, catalog: Catalog) -> Catalog:
     """Add ids that name no catalog entity to some explicit scopes."""
 
@@ -646,7 +663,8 @@ def test_scope_maps_match_a_per_entity_scan():
         by_regulation = scan(catalog.regulations, lambda r: r.jurisdictions, jids)
         by_kind = {kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind}
         # A fresh copy whose entries are each read by key, in a shuffled
-        # order, before any map is read whole.
+        # order, before any map is read whole; each map's first read finds
+        # its entry built by another reader since the map looked it up.
         by_key = dataclasses.replace(catalog)
         order = random.Random(trial)
         for name, want in [
@@ -655,10 +673,12 @@ def test_scope_maps_match_a_per_entity_scan():
             ("regulations_by_jurisdiction", by_regulation),
         ]:
             scope_map = getattr(by_key, name)
+            scope_map._sets = RacingSets(scope_map)
             keys = list(want)
             order.shuffle(keys)
             for key in keys:
                 assert scope_map[key] == want[key]
+            assert scope_map._sets.raced == bool(keys)
             assert "ghost" not in scope_map
             with pytest.raises(KeyError):
                 scope_map["ghost"]

@@ -18,7 +18,7 @@ mutant, the first failing test and the time taken, and exits 1 if a
 mutant of MUTANTS survives. The working tree is only read. One mutant
 can be re-checked from a Python prompt with `run(entry)`.
 
-A mutant takes 3 to 40 s on a 2-core host, and the whole list about 13
+A mutant takes 3 to 40 s on a 2-core host, and the whole list about 11
 minutes, so this stays outside tier-1. A tier-1 test
 (`tests/test_mutants.py`) checks that every snippet still occurs exactly
 once, so a change to a listed line must update this list.
@@ -41,7 +41,7 @@ MUTANTS = [
     # io: the checks of the converting path and the choice of parse.
     ("io", "if sum(map(len, sets)) != sum(map(len, column)):", "if False:",
      "a repeated id in an id array is a SchemaError"),
-    ("io", 'if column.count("all") != strings:', "if False:",
+    ("io", 'if column.count("all") != types.count(str):', "if False:",
      'a string other than "all" in a scope is a SchemaError'),
     ("io", "if not _LIST.issuperset(map(type, column)):", "if False:",
      "a string where an id array belongs is a SchemaError"),
@@ -63,6 +63,10 @@ MUTANTS = [
      "loads(bytearray) reads the bytes"),
     ("io", "if not isinstance(document, dict):", "if False:",
      "a top level that is not an object is a SchemaError that says so"),
+    ("io", "    except RecursionError as exc:\n        raise ParseError(_TOO_DEEP) from exc\n"
+     "    _check_encodable(text)",
+     "    finally:\n        pass\n    _check_encodable(text)",
+     "an escaped text that parses but nests too deeply for `json.dumps` is a ParseError"),
     # model: validation, the aggregates and the scope maps.
     ("model", "elif entity.id in seen and entity.id not in flagged:", "elif entity.id in seen:",
      "an id three times is one DUP_ID"),
@@ -87,6 +91,8 @@ MUTANTS = [
     ("model", "if scope is universe:", "if False:",
      'one projection of an all-scoped 300 x 300 catalog holds under 5 MB: an "all"-scoped '
      "owner goes once into the list every entry shares, not into each entity's list"),
+    ("model", "if members is None:  # another thread", "if False:  # another thread",
+     "an entry another reader built between the map's two lookups is read, not built again"),
     ("model", "return next((kind for kind in cls if kind.value == value.upper()), None)",
      "return next((kind for kind in cls if kind.value == value), None)",
      "the constructors read a kind name in any case"),
@@ -102,6 +108,10 @@ MUTANTS = [
      "change_impact skips a product id the catalog lacks"),
     ("analysis", 'return ("",)', 'return ("\\uffff",)',
      'reuse_candidates lists an "all"-scoped cluster first'),
+    ("analysis",
+     "scopes[req.id] = tuple(map(_join, scopes[req.id], pair)) if req.id in scopes else pair",
+     "scopes[req.id] = pair",
+     "a duplicated id's reuse cluster has the union of its rows' scopes"),
     # cli: the --json writer and the exit-code contract.
     ("cli", "if len(keys) == 1 and (keys := keys.pop()):",
      "if len(keys) >= 1 and (keys := keys.pop()):",
@@ -109,14 +119,13 @@ MUTANTS = [
     ("cli", 'text.encode("utf-8")\n    except UnicodeEncodeError:\n',
      'text.encode("utf-8", "surrogatepass")\n    except UnicodeEncodeError:\n',
      "a lone surrogate in --json output takes the ASCII fallback"),
-    ("cli", "            _flush_stdout()\n            raise SystemExit",
-     "            raise SystemExit",
+    ("cli", "        _to_null(sys.stdout)\n", "",
+     "a stdout that cannot take its text exits 2, not 120 after the flush at exit fails again"),
+    ("cli", '        code, lines = EXIT_USAGE, (f"error: {exc}",)\n', "",
      "--help on a stdout that cannot take it exits 2"),
     ("cli", "    except OSError:\n        _to_null(sys.stderr)",
      "    except BrokenPipeError:\n        _to_null(sys.stderr)",
      "an error exit keeps its code when stderr is the full device"),
-    ("cli", "        with contextlib.suppress(OSError):\n            _flush_stdout()\n", "",
-     "text left in stdout by a write that failed inside a command is dropped"),
 ]
 
 EQUIVALENT = [
@@ -132,12 +141,16 @@ EQUIVALENT = [
      "sizes an entry's table to its members; both requirement maps of the seed-11 "
      "`wide` catalog read whole hold 1.81 MB with it and 2.69 MB without "
      "(tracemalloc)"),
-    ("model", "if members is None:  # another thread", "if False:  # another thread",
-     "only a reader racing another thread for one entry reaches the branch"),
     ("model", "if len(ids) == len(entities) and all(ids):", "if False:",
-     "skips the id walk on a catalog with no empty or repeated id; the walk finds nothing there"),
+     "skips the id walk on a catalog with no empty or repeated id, where it finds nothing; "
+     "`validate` on the seed-11 catalogs takes 3.72 ms with it and 3.97 without on `wide`, "
+     "2.30 and 2.44 on `deep`, 4.17 and 4.24 on `edit` (median of 10 processes, "
+     "each the min of 40 calls)"),
     ("model", "if known.issuperset(refs):", "if False:",
-     "skips the per-reference loop when every reference is known; the loop finds nothing there"),
+     "skips the per-reference loop when every reference is known, where it finds nothing; "
+     "`validate` on the seed-11 catalogs takes 3.72 ms with it and 4.50 without on `wide`, "
+     "2.30 and 2.56 on `deep`, 4.17 and 4.79 on `edit` (median of 10 processes, "
+     "each the min of 40 calls)"),
     ("io", 'escaped = "\\\\u" in text', "escaped = True",
      "only a `\\u` escape can hold a lone surrogate, so a text without one skips the "
      "check of every decoded string"),
