@@ -64,9 +64,6 @@ class RequirementSet:
     def __contains__(self, requirement_id: object) -> bool:
         return requirement_id in self.members
 
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
     def __or__(self, other: RequirementSet) -> RequirementSet:
         return RequirementSet(self.members | other.members)
 

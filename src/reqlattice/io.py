@@ -161,7 +161,7 @@ _DICT = frozenset({dict})
 _LIST = frozenset({list})
 
 
-def _strs(column: list, shared=None) -> tuple[list[str], int]:
+def _strs(column: list, shared) -> tuple[list[str], int]:
     try:
         # One pass in C: TypeError unless every item is a string.
         return column, "".join(column).count(":")
@@ -169,7 +169,7 @@ def _strs(column: list, shared=None) -> tuple[list[str], int]:
         raise _Mismatch from None
 
 
-def _kinds(column: list, shared=None) -> tuple[list[Kind], int]:
+def _kinds(column: list, shared) -> tuple[list[Kind], int]:
     try:
         return list(map(_KINDS.__getitem__, column)), 0
     except (KeyError, TypeError):
@@ -546,27 +546,18 @@ def _country_view(catalog: Catalog, jurisdiction_id: str) -> GraphView:
         pid = product.id
         # Only the focus jurisdiction's specific parts are rendered, so the
         # partition is built for that one jurisdiction.
-        rl_gen = algebra.general_part(catalog, pid, Kind.RL)
-        rfn_gen = algebra.general_part(catalog, pid, Kind.RFN)
-        rl_spec = algebra.requirements_for(catalog, pid, jurisdiction_id, Kind.RL) - rl_gen
-        rfn_spec = algebra.requirements_for(catalog, pid, jurisdiction_id, Kind.RFN) - rfn_gen
-        rl_general, rl_specific = _node_id("rl_general", pid), _node_id("rl_specific", pid)
-        nodes.extend(
-            [
-                (rl_general, f"RL general [{pid}]: " + _label_ids(rl_gen)),
-                (
-                    rl_specific,
-                    f"RL specific [{pid}, {jurisdiction_id}]: " + _label_ids(rl_spec),
-                ),
-                (_node_id("rfn_general", pid), f"RFN general [{pid}]: " + _label_ids(rfn_gen)),
-                (
-                    _node_id("rfn_specific", pid),
-                    f"RFN specific [{pid}, {jurisdiction_id}]: " + _label_ids(rfn_spec),
-                ),
-            ]
-        )
-        edges.append(("core", rl_general))
-        edges.append(("complement", rl_specific))
+        for kind in Kind:
+            general = algebra.general_part(catalog, pid, kind)
+            specific = algebra.requirements_for(catalog, pid, jurisdiction_id, kind) - general
+            prefix = kind.value.lower()
+            general_node = _node_id(f"{prefix}_general", pid)
+            specific_node = _node_id(f"{prefix}_specific", pid)
+            nodes.append((general_node, f"{kind.value} general [{pid}]: " + _label_ids(general)))
+            label = f"{kind.value} specific [{pid}, {jurisdiction_id}]: "
+            nodes.append((specific_node, label + _label_ids(specific)))
+            if kind is Kind.RL:
+                edges.append(("core", general_node))
+                edges.append(("complement", specific_node))
     return GraphView(ViewKind.COUNTRY_CENTRED, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
@@ -576,13 +567,11 @@ def _product_view(catalog: Catalog, product_id: str) -> GraphView:
     edges = []
     for jurisdiction in catalog.jurisdictions:
         jid = jurisdiction.id
-        rl = algebra.requirements_for(catalog, product_id, jid, Kind.RL)
-        rfn = algebra.requirements_for(catalog, product_id, jid, Kind.RFN)
-        rl_node, rfn_node = _node_id("rl", jid), _node_id("rfn", jid)
-        nodes.append((rl_node, f"RL [{product_id}, {jid}]: " + _label_ids(rl)))
-        nodes.append((rfn_node, f"RFN [{product_id}, {jid}]: " + _label_ids(rfn)))
-        edges.append((rl_node, "union"))
-        edges.append((rfn_node, "union"))
+        for kind in Kind:
+            projection = algebra.requirements_for(catalog, product_id, jid, kind)
+            node = _node_id(kind.value.lower(), jid)
+            nodes.append((node, f"{kind.value} [{product_id}, {jid}]: " + _label_ids(projection)))
+            edges.append((node, "union"))
     return GraphView(ViewKind.PRODUCT_CENTRED, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
@@ -627,8 +616,6 @@ def build_view(
     if kind is ViewKind.PRODUCT_CENTRED:
         if focus is None:
             raise FocusRequiredError("product-centred view needs a product focus")
-        if focus not in catalog.product_ids:
-            raise UnknownIdError(f"unknown product: {focus!r}")
         return _product_view(catalog, focus)
     if focus is not None:
         raise FocusForbiddenError("global view takes no focus")

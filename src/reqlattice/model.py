@@ -115,9 +115,15 @@ class _ScopeMap(Mapping[str, frozenset[str]]):
         return len(self._lists)
 
 
-def _every(by_entity: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    """The ids in every value of a map; a map with no entities gives the empty set."""
-    return frozenset.intersection(*by_entity.values()) if by_entity else frozenset()
+def _union_by_id(
+    owners: Iterable[Requirement | Regulation], scopes: list[frozenset[str]]
+) -> dict[str, frozenset[str]]:
+    """Each owner id mapped to the union of its owners' resolved scopes
+    (`scopes` holds one per owner, in order)."""
+    union: dict[str, frozenset[str]] = {}
+    for owner, scope in zip(owners, scopes):
+        union[owner.id] = union[owner.id] | scope if owner.id in union else scope
+    return union
 
 
 _NO_IDS: frozenset[str] = frozenset()
@@ -281,12 +287,13 @@ class Catalog:
     # builds each entry on its first read (`_ScopeMap`), so a construct that
     # reads one entity's entry builds that entry alone.  A duplicated id
     # covers the union of its scopes, which can cover every entity when no
-    # one scope does; so a catalog with a duplicated id (`validate` refuses
-    # it) intersects the map's entries for an "every" aggregate.  A "some"
-    # pass needs no such guard: the union meets the axis exactly when one
-    # of its scopes does.  An axis with no entities has empty aggregates
-    # ("every" is not the vacuous universe; the constructs that need an
-    # "every" refuse an empty axis first).
+    # one scope does; so on a catalog with a duplicated id (`validate`
+    # refuses it) an aggregate's pass first folds each id's scopes into
+    # their union (`_union_by_id`, which `find_warnings` uses for the
+    # regulations), and a catalog without one skips the fold, which would
+    # double the aggregates' time.  An axis with no entities has empty
+    # aggregates ("every" is not the vacuous universe; the constructs that
+    # need an "every" refuse an empty axis first).
     # Filling in a list, a map, a map's entry or an aggregate is idempotent.
 
     @cached_property
@@ -333,16 +340,18 @@ class Catalog:
         per requirement, in order) covers every, or some, entity of `universe`."""
         if not universe:
             return frozenset()
+        ids = [r.id for r in self.requirements]
+        if len(self.requirement_ids) != len(ids):
+            union = _union_by_id(self.requirements, scopes)
+            ids, scopes = union.keys(), union.values()
         if every:
             hits = map(universe.issubset, scopes)
         else:
             hits = map(not_, map(universe.isdisjoint, scopes))
-        return frozenset(compress([r.id for r in self.requirements], hits))
+        return frozenset(compress(ids, hits))
 
     @cached_property
     def requirements_on_every_product(self) -> frozenset[str]:
-        if len(self.requirement_ids) != len(self.requirements):
-            return _every(self.requirements_by_product)
         return self._covering(self._product_scopes, self.product_ids, every=True)
 
     @cached_property
@@ -351,8 +360,6 @@ class Catalog:
 
     @cached_property
     def requirements_in_every_jurisdiction(self) -> frozenset[str]:
-        if len(self.requirement_ids) != len(self.requirements):
-            return _every(self.requirements_by_jurisdiction)
         return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=True)
 
     @cached_property
@@ -415,17 +422,11 @@ def _warning(code: str, message: str, ids: tuple[str, ...]) -> Issue:
 def _check_ids(entities, ids: frozenset[str], label: str, issues: list[Issue]) -> None:
     if len(ids) == len(entities) and all(ids):
         return
-    seen: set[str] = set()
-    flagged: set[str] = set()
-    for entity in entities:
-        if not entity.id:
-            issues.append(_error(EMPTY_ID, f"{label} with empty id", (entity.id,)))
-        elif entity.id in seen and entity.id not in flagged:
-            issues.append(
-                _error(DUP_ID, f"duplicate {label} id: {entity.id}", (entity.id,))
-            )
-            flagged.add(entity.id)
-        seen.add(entity.id)
+    for entity_id, count in Counter(entity.id for entity in entities).items():
+        if not entity_id:
+            issues.extend([_error(EMPTY_ID, f"{label} with empty id", (entity_id,))] * count)
+        elif count > 1:
+            issues.append(_error(DUP_ID, f"duplicate {label} id: {entity_id}", (entity_id,)))
 
 
 def _check_refs(
@@ -522,22 +523,13 @@ def _check_edges(
     edges: tuple[RefinementEdge, ...], requirement_ids: frozenset[str], issues: list[Issue]
 ) -> None:
     """Report every duplicated, self-looped or dangling edge."""
-    seen_edges: set[tuple[str, str]] = set()
-    flagged_edges: set[tuple[str, str]] = set()
-    for edge in edges:
-        pair = (edge.stronger, edge.weaker)
-        if pair in seen_edges:
-            if pair not in flagged_edges:
-                issues.append(
-                    _error(DUP_EDGE, f"duplicate refinement edge {pair[0]} -> {pair[1]}", pair)
-                )
-                flagged_edges.add(pair)
-            continue
-        seen_edges.add(pair)
-        if edge.stronger == edge.weaker:
+    for pair, count in Counter((edge.stronger, edge.weaker) for edge in edges).items():
+        if count > 1:
             issues.append(
-                _error(SELF_EDGE, f"refinement self-edge on {edge.stronger}", (edge.stronger,))
+                _error(DUP_EDGE, f"duplicate refinement edge {pair[0]} -> {pair[1]}", pair)
             )
+        if pair[0] == pair[1]:
+            issues.append(_error(SELF_EDGE, f"refinement self-edge on {pair[0]}", (pair[0],)))
             continue
         for endpoint in pair:
             if endpoint not in requirement_ids:
@@ -615,10 +607,9 @@ def validate(catalog: Catalog) -> ValidationReport:
 def find_warnings(catalog: Catalog) -> tuple[Issue, ...]:
     """The EMPTY_SCOPE and RL_COVERAGE warnings, sorted by `Issue.sort_key`,
     in one pass over the requirements. A regulation id that occurs twice
-    covers the union of its scopes, as in `Catalog.regulations_by_jurisdiction`."""
-    covers: dict[str, frozenset[str]] = {}
-    for reg, scope in zip(catalog.regulations, catalog._regulation_scopes):
-        covers[reg.id] = covers[reg.id] | scope if reg.id in covers else scope
+    covers the union of its scopes (`_union_by_id`, the fold of the "every"
+    aggregates), as in `Catalog.regulations_by_jurisdiction`."""
+    covers = _union_by_id(catalog.regulations, catalog._regulation_scopes)
     warnings: list[Issue] = []
     for req, applicable in zip(catalog.requirements, catalog._jurisdiction_scopes):
         if not req.applies_to_products or not req.applies_to_jurisdictions:

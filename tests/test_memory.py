@@ -18,7 +18,7 @@ import tracemalloc
 
 import catgen  # bench/catgen.py
 from reqlattice import cli
-from reqlattice.algebra import requirements_for
+from reqlattice.algebra import general_part, requirements_for, rl_min
 from reqlattice.io import load, loads
 from reqlattice.model import Catalog, Jurisdiction, Kind, Product, Regulation, Requirement
 
@@ -69,14 +69,15 @@ def test_global_export_peak_stays_near_the_file_size(tmp_path, capsys):
     assert peak <= 8.5 * len(data), f"peak {peak / len(data):.2f}x the file size"
 
 
-def _scoped_all_throughout() -> Catalog:
+def _scoped_all_throughout(*extra: Requirement) -> Catalog:
     """300 jurisdictions, 300 products and 5,000 RL requirements citing one
-    regulation, every scope `"all"`."""
+    regulation, every scope `"all"`, plus the `extra` requirements."""
+    requirements = [Requirement(f"r{i:04d}", Kind.RL, derived_from={"g"}) for i in range(5000)]
     return Catalog(
         jurisdictions=[Jurisdiction(f"C{i:03d}") for i in range(300)],
         regulations=[Regulation("g")],
         products=[Product(f"P{i:03d}") for i in range(300)],
-        requirements=[Requirement(f"r{i:04d}", Kind.RL, derived_from={"g"}) for i in range(5000)],
+        requirements=[*requirements, *extra],
     )
 
 
@@ -98,3 +99,18 @@ def test_one_projection_builds_one_entry_per_axis():
     # about 1.3 MB.
     assert retained <= 5_000_000, f"retained {retained / 1e6:.2f} MB"
     assert peak <= 5_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_a_repeated_id_builds_no_whole_map_for_an_every_aggregate():
+    # `validate` refuses the repeated id, yet the aggregates answer for it
+    # by folding its two scopes; intersecting the entries of a whole scope
+    # map instead peaks at about 82 MB.
+    repeated = Requirement("r0000", Kind.RL, derived_from={"g"}, applies_to_products={"P001"})
+    for run in (
+        lambda catalog: rl_min(catalog, "C123"),
+        lambda catalog: general_part(catalog, "P007", Kind.RL),
+    ):
+        catalog = _scoped_all_throughout(repeated)
+        peak, _ = _traced(lambda: run(catalog))
+        assert len(run(catalog)) == 5000
+        assert peak <= 5_000_000, f"peak {peak / 1e6:.2f} MB"

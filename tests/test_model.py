@@ -186,6 +186,9 @@ def test_empty_ids_and_empty_regulation_scope():
     )
     report = validate(catalog)
     assert sorted(codes(report.errors)) == [EMPTY_ID, EMPTY_SCOPE]
+    # Each entity with an empty id is one EMPTY_ID, never a DUP_ID.
+    twice = Catalog(jurisdictions=[Jurisdiction(""), Jurisdiction(""), Jurisdiction("C1")])
+    assert codes(validate(twice).errors) == [EMPTY_ID, EMPTY_ID]
 
 
 def test_empty_requirement_scope_is_an_empty_scope_warning():

@@ -3,7 +3,7 @@
 Usage: python tools/import_cost.py SRC [SRC_B] [--runs N] [--catalog PATH]
 
 Each SRC is a `src` directory holding the `reqlattice` package, for example
-the checkout of a parent commit and the working tree. The script prints two
+the checkout of a parent commit and the working tree. The script prints three
 tables.
 
 * Import time. It runs `python -X importtime -c "import reqlattice.cli"`
@@ -17,6 +17,11 @@ tables.
   `reqlattice.cli`, runs `cli.main` on CATALOG (default
   `tests/data/partial.reqcat.json`, whose ids the commands name) and
   lists the `reqlattice.*` modules it then holds.
+* Parser tokens. For every module of each tree, the tokens that CPython's
+  parser reads: `tokenize`'s tokens without COMMENT, NL and ENCODING. A
+  module past 4,096 tokens is marked `*`: CPython 3.11's parser grows its
+  token array by doubling, so compiling such a module from source costs
+  about 0.25 MB more memory.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +43,8 @@ COMMANDS = (
     ["impact", "{catalog}", "--regulation", "g", "--json"],
     ["export", "{catalog}", "--view", "global", "--out", "{out}", "--json"],
 )
+TOKEN_THRESHOLD = 4096
+UNPARSED = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.ENCODING})
 # Runs one command and writes the package modules it loaded to stderr.
 COMMAND_SCRIPT = """
 import contextlib, io, sys
@@ -74,6 +82,17 @@ def _self_times(src: str) -> dict[str, float]:
         if name.split(".")[0] == "reqlattice":
             times[name] = int(self_us) / 1000
     return times
+
+
+def _parser_tokens(src: str) -> dict[str, int]:
+    """The parser's token count of each module of the tree `src`."""
+    counts = {}
+    for path in sorted(Path(src, "reqlattice").glob("*.py")):
+        name = "reqlattice" if path.stem == "__init__" else f"reqlattice.{path.stem}"
+        with path.open("rb") as source:
+            tokens = tokenize.tokenize(source.readline)
+            counts[name] = sum(token.type not in UNPARSED for token in tokens)
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,6 +136,17 @@ def main(argv: list[str] | None = None) -> int:
             for label, src in zip(labels, args.srcs):
                 code, _, loaded = _python(src, "-c", COMMAND_SCRIPT, *argv_).strip().partition(" ")
                 print(f"{label} {command[0]:9s} exit {code}: {loaded}")
+
+    tokens = [_parser_tokens(src) for src in args.srcs]
+    print(f"\nparser tokens per module, * past {TOKEN_THRESHOLD}")
+    print(f"{'module':24s}" + "".join(f"{label:>9s}" for label in labels))
+    for name in sorted(set().union(*tokens)):
+        cells = []
+        for side in tokens:
+            count = side.get(name)
+            mark = "*" if count is not None and count > TOKEN_THRESHOLD else " "
+            cells.append(f"{'-' if count is None else count:>8}{mark}")
+        print(f"{name:24s}" + "".join(cells))
     return 0
 
 

@@ -68,22 +68,24 @@ MUTANTS = [
      "    finally:\n        pass\n    _check_encodable(text)",
      "an escaped text that parses but nests too deeply for `json.dumps` is a ParseError"),
     # model: validation, the aggregates and the scope maps.
-    ("model", "elif entity.id in seen and entity.id not in flagged:", "elif entity.id in seen:",
-     "an id three times is one DUP_ID"),
+    ("model", "elif count > 1:", "elif count > 2:",
+     "an id twice is a DUP_ID"),
+    ("model", ")] * count)", ")])",
+     "each entity with an empty id is one EMPTY_ID"),
+    ("model", "if count > 1:\n            issues.append(\n", "if count > 2:\n            issues.append(\n",
+     "an edge twice is a DUP_EDGE"),
     ("model", "if sum(map(len, children.values())) != len(catalog.refinements):", "if False:",
      "duplicated, self and dangling edges are errors"),
     ("model", "if not req.applies_to_products or not req.applies_to_jurisdictions:",
      "if not req.applies_to_products:",
      "an empty jurisdiction scope is an EMPTY_SCOPE warning"),
-    ("model", "covers[reg.id] = covers[reg.id] | scope if reg.id in covers else scope",
-     "covers[reg.id] = scope",
-     "a regulation id twice covers the union of its scopes in RL_COVERAGE"),
-    ("model", "return _every(self.requirements_by_product)",
-     "return self._covering(self._product_scopes, self.product_ids, every=True)",
-     "a duplicated id is on every product when its scopes together cover them"),
-    ("model", "return _every(self.requirements_by_jurisdiction)",
-     "return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=True)",
-     "a duplicated id is in every jurisdiction when its scopes together cover them"),
+    ("model", "union[owner.id] = union[owner.id] | scope if owner.id in union else scope",
+     "union[owner.id] = scope",
+     "a regulation id twice covers the union of its scopes in RL_COVERAGE, and a requirement "
+     "id twice is on every product when its scopes together cover them"),
+    ("model", "if len(self.requirement_ids) != len(ids):", "if False:",
+     "a duplicated id is on every product, or in every jurisdiction, when its scopes "
+     "together cover them"),
     ("model", "        if not universe:\n            return frozenset()\n", "",
      "an axis with no entities has empty aggregates"),
     ("model", "                everywhere.append(owner.id)\n", "",
@@ -141,6 +143,11 @@ EQUIVALENT = [
      "sizes an entry's table to its members; both requirement maps of the seed-11 "
      "`wide` catalog read whole hold 1.81 MB with it and 2.69 MB without "
      "(tracemalloc)"),
+    ("model", "len(self.requirement_ids) != len(ids)", "True",
+     "skips the fold of each id's scopes on a catalog with no repeated requirement id, where "
+     "every id has one scope; the four aggregates on a fresh copy of the seed-11 catalogs "
+     "take 1.08 ms with it and 2.21 without on `wide`, 0.68 and 1.35 on `deep`, 1.01 and "
+     "2.10 on `edit` (median of 6 processes, each the min of 40 calls)"),
     ("model", "if len(ids) == len(entities) and all(ids):", "if False:",
      "skips the id walk on a catalog with no empty or repeated id, where it finds nothing; "
      "`validate` on the seed-11 catalogs takes 3.72 ms with it and 3.97 without on `wide`, "
