@@ -1,13 +1,18 @@
 """Set constructions over a validated catalog.
 
-Every construction is set algebra over the catalog's scope maps
-(`Catalog.requirements_by_product` and its siblings) and per-axis
-aggregates (`Catalog.requirements_on_some_product` and its siblings),
-which the catalog fills in on first use from its scopes, with `"all"`
-resolved once per axis; nothing here looks at a scope. A scope map
-builds each entity's entry on its first read, so a construct about one
-product or one jurisdiction pays for that entry, not for the whole map.
-All functions are pure and filling in a map, an entry or an aggregate is
+Every construction is AND/OR of int masks over the catalog's one dense
+index of its requirement ids in sorted order (`Catalog.requirement_index`):
+the masks of its scope maps (`Catalog.requirements_by_product` and its
+siblings), of its kind sets (`Catalog.masks_by_kind`) and of its per-axis
+aggregates (`Catalog.mask_on_some_product` and its siblings), which the
+catalog fills in on first use from its scopes, with `"all"` resolved once
+per axis; nothing here looks at a scope. A scope map makes each entity's
+mask on its first read, so a construct about one product or one
+jurisdiction pays for that entry, not for the whole map. A construct
+returns a `RequirementSet` holding its mask and the index's ids, which
+decodes the mask only when the set is iterated or asked for `members` or
+`ids`, and lists the ids in sorted order without sorting them. All
+functions are pure and filling in a map, an entry or an aggregate is
 idempotent, so repeated calls give identical results and concurrent
 readers need no locking.
 
@@ -16,7 +21,7 @@ The constructions:
 * projection -- the requirements of one (product, jurisdiction) pair,
   optionally restricted to one kind;
 * product union -- everything a product must satisfy across all
-  jurisdictions;
+  jurisdictions, optionally restricted to one kind;
 * jurisdiction union -- all regulation-derived requirements a jurisdiction
   imposes across all products;
 * shared regulations -- the regulations common to every jurisdiction (the
@@ -29,9 +34,9 @@ The constructions:
 
 The general part of a partition is computed as the product's kind-set
 intersected with the requirements in every jurisdiction
-(`Catalog.requirements_in_every_jurisdiction`), which makes "the general
-part is the same in every jurisdiction" a construction guarantee rather
-than an input assumption.
+(`Catalog.mask_in_every_jurisdiction`), which makes "the general part is
+the same in every jurisdiction" a construction guarantee rather than an
+input assumption.
 
 RFN requirements reuse the same applicability machinery as RL ones;
 human-factor tags never affect set membership, only reporting.
@@ -40,48 +45,106 @@ human-factor tags never affect set membership, only reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .bitmap import decode
 from .errors import EmptyCatalogError, UnknownIdError
 from .model import Catalog, Kind
 
 
-@dataclass(frozen=True)
 class RequirementSet:
-    """A duplicate-free set of requirement ids iterated in ascending order."""
+    """A duplicate-free set of requirement ids iterated in ascending order.
 
-    members: frozenset[str] = frozenset()
+    `RequirementSet(ids)` holds the ids. A set that a construct returns
+    holds a mask over its catalog's sorted ids instead, and decodes it only
+    when it is iterated or asked for `members` (decoded once, then kept)
+    or `ids`. Two sets over the same ids combine and compare as masks; any
+    other pair as id sets. Equal sets hash alike, whatever they hold.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
+    __slots__ = ("_members", "_mask", "_ids")
+
+    def __init__(self, members: Iterable[str] = frozenset()) -> None:
+        self._members: frozenset[str] | None = frozenset(members)
+        self._mask: int | None = None
+        self._ids: tuple[str, ...] | None = None
+
+    @property
+    def members(self) -> frozenset[str]:
+        if self._members is None:
+            self._members = frozenset(decode(self._mask, self._ids))
+        return self._members
+
+    def _shares_ids(self, other: RequirementSet) -> bool:
+        return self._ids is not None and other._ids is self._ids
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.members))
+        if self._ids is None:
+            return iter(sorted(self._members))
+        return decode(self._mask, self._ids)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._members) if self._ids is None else self._mask.bit_count()
 
     def __contains__(self, requirement_id: object) -> bool:
         return requirement_id in self.members
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._shares_ids(other):
+            return self._mask == other._mask
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def __repr__(self) -> str:
+        return f"RequirementSet(members={self.members!r})"
+
     def __or__(self, other: RequirementSet) -> RequirementSet:
+        if self._shares_ids(other):
+            return _masked(self._mask | other._mask, self._ids)
         return RequirementSet(self.members | other.members)
 
     def __and__(self, other: RequirementSet) -> RequirementSet:
+        if self._shares_ids(other):
+            return _masked(self._mask & other._mask, self._ids)
         return RequirementSet(self.members & other.members)
 
     def __sub__(self, other: RequirementSet) -> RequirementSet:
+        if self._shares_ids(other):
+            return _masked(self._mask & ~other._mask, self._ids)
         return RequirementSet(self.members - other.members)
 
     def issubset(self, other: RequirementSet) -> bool:
+        if self._shares_ids(other):
+            return not self._mask & ~other._mask
         return self.members <= other.members
 
     def isdisjoint(self, other: RequirementSet) -> bool:
+        if self._shares_ids(other):
+            return not self._mask & other._mask
         return self.members.isdisjoint(other.members)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.members))
+        return tuple(self)
+
+
+def _masked(mask: int, ids: tuple[str, ...]) -> RequirementSet:
+    """The set of the ids whose bits `mask` sets."""
+    result = RequirementSet.__new__(RequirementSet)
+    result._members, result._mask, result._ids = None, mask, ids
+    return result
+
+
+def _result(catalog: Catalog, mask: int, kind: Kind | str | None = None) -> RequirementSet:
+    """The set of the catalog's requirements in `mask`, restricted to one
+    kind unless `kind` is None."""
+    if kind is not None:
+        mask &= catalog.masks_by_kind[Kind(kind)]
+    return _masked(mask, catalog.requirement_index.ids)
 
 
 @dataclass(frozen=True)
@@ -120,41 +183,34 @@ def requirements_for(
     """
     _require(product_id, catalog.product_ids, "product")
     _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    members = (
-        catalog.requirements_by_product[product_id]
-        & catalog.requirements_by_jurisdiction[jurisdiction_id]
-    )
-    if kind_filter is not None:
-        members &= catalog.requirements_by_kind[Kind(kind_filter)]
-    return RequirementSet(members)
+    mask = catalog.requirements_by_product.mask(product_id)
+    mask &= catalog.requirements_by_jurisdiction.mask(jurisdiction_id)
+    return _result(catalog, mask, kind_filter)
 
 
-def product_union(catalog: Catalog, product_id: str) -> RequirementSet:
+def product_union(
+    catalog: Catalog, product_id: str, kind_filter: Kind | str | None = None
+) -> RequirementSet:
     """Everything the product must satisfy: the union of its projections
-    over all jurisdictions."""
+    over all jurisdictions. `kind_filter` restricts to one requirement
+    kind, as in `requirements_for`."""
     _require(product_id, catalog.product_ids, "product")
-    return RequirementSet(
-        catalog.requirements_by_product[product_id] & catalog.requirements_in_some_jurisdiction
-    )
+    mask = catalog.requirements_by_product.mask(product_id)
+    return _result(catalog, mask & catalog.mask_in_some_jurisdiction, kind_filter)
 
 
 def global_union(catalog: Catalog) -> RequirementSet:
     """Every requirement applicable to at least one (product, jurisdiction)
     pair: the union of the product unions."""
-    return RequirementSet(
-        catalog.requirements_on_some_product & catalog.requirements_in_some_jurisdiction
-    )
+    return _result(catalog, catalog.mask_on_some_product & catalog.mask_in_some_jurisdiction)
 
 
 def jurisdiction_rl(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     """All regulation-derived requirements the jurisdiction imposes on any
     product: the union of its RL projections over all products."""
     _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    return RequirementSet(
-        catalog.requirements_by_jurisdiction[jurisdiction_id]
-        & catalog.requirements_by_kind[Kind.RL]
-        & catalog.requirements_on_some_product
-    )
+    mask = catalog.requirements_by_jurisdiction.mask(jurisdiction_id)
+    return _result(catalog, mask & catalog.mask_on_some_product, Kind.RL)
 
 
 def jurisdiction_regulations(catalog: Catalog, jurisdiction_id: str) -> frozenset[str]:
@@ -174,7 +230,7 @@ def shared_regulations(catalog: Catalog) -> SharedRegulations:
     """
     if not catalog.jurisdictions:
         raise EmptyCatalogError("shared regulations need at least one jurisdiction")
-    per_jurisdiction = catalog.regulations_by_jurisdiction
+    per_jurisdiction = dict(catalog.regulations_by_jurisdiction)  # each entry decoded once
     core = frozenset.intersection(*per_jurisdiction.values())
     complements = {jid: regs - core for jid, regs in per_jurisdiction.items()}
     return SharedRegulations(core, complements)
@@ -186,11 +242,8 @@ def rl_min(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:
     if not catalog.products:
         raise EmptyCatalogError("the per-jurisdiction minimum needs at least one product")
     _require(jurisdiction_id, catalog.jurisdiction_ids, "jurisdiction")
-    return RequirementSet(
-        catalog.requirements_by_jurisdiction[jurisdiction_id]
-        & catalog.requirements_by_kind[Kind.RL]
-        & catalog.requirements_on_every_product
-    )
+    mask = catalog.requirements_by_jurisdiction.mask(jurisdiction_id)
+    return _result(catalog, mask & catalog.mask_on_every_product, Kind.RL)
 
 
 def general_part(catalog: Catalog, product_id: str, kind: Kind | str) -> RequirementSet:
@@ -200,11 +253,8 @@ def general_part(catalog: Catalog, product_id: str, kind: Kind | str) -> Require
     if not catalog.jurisdictions:
         raise EmptyCatalogError("partitioning needs at least one jurisdiction")
     _require(product_id, catalog.product_ids, "product")
-    return RequirementSet(
-        catalog.requirements_by_product[product_id]
-        & catalog.requirements_by_kind[Kind(kind)]
-        & catalog.requirements_in_every_jurisdiction
-    )
+    mask = catalog.requirements_by_product.mask(product_id)
+    return _result(catalog, mask & catalog.mask_in_every_jurisdiction, Kind(kind))
 
 
 def partition_general_specific(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_, or_
 from typing import Mapping
 
 from .algebra import (
@@ -176,8 +178,8 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
         raise EmptyCatalogError("reuse analysis needs at least one product and one jurisdiction")
     minima = {j.id: rl_min(catalog, j.id) for j in catalog.jurisdictions}
 
-    shared = frozenset.intersection(*(minimum.members for minimum in minima.values()))
-    pool = frozenset().union(*(minimum.members for minimum in minima.values()))
+    shared = reduce(and_, minima.values())
+    pool = reduce(or_, minima.values())
     # Each pool id's product and jurisdiction scopes, joined over its rows.
     scopes: dict[str, tuple[Scope, Scope]] = {}
     for req in catalog.requirements:
@@ -194,7 +196,7 @@ def reuse_candidates(catalog: Catalog) -> ReuseReport:
     )
     return ReuseReport(
         rl_min=minima,
-        shared_across_all=RequirementSet(shared),
+        shared_across_all=shared,
         clusters=clusters,
     )
 

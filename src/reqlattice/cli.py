@@ -28,7 +28,6 @@ from itertools import chain, repeat
 
 from . import io as catalog_io
 from .algebra import (
-    RequirementSet,
     global_union,
     jurisdiction_rl,
     product_union,
@@ -36,7 +35,7 @@ from .algebra import (
     rl_min,
 )
 from .errors import CatalogInvalidError, ReqlatticeError
-from .model import Catalog, Issue, Kind, Severity, find_warnings, validate
+from .model import Catalog, Issue, Severity, find_warnings, validate
 from .refinement import RefinementGraph, build_graph, optimize, witnesses
 
 EXIT_OK = 0
@@ -187,10 +186,7 @@ def cmd_sets(args: argparse.Namespace) -> int:
     elif args.jurisdiction is not None:
         result = requirements_for(catalog, args.product, args.jurisdiction, args.kind)
     else:
-        result = product_union(catalog, args.product)
-        if args.kind is not None:
-            of_kind = catalog.requirements_by_kind[Kind(args.kind)]
-            result = RequirementSet(result.members & of_kind)
+        result = product_union(catalog, args.product, args.kind)
     if args.json:
         _emit_json({"count": len(result), "ids": list(result)})
     else:

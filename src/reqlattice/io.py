@@ -530,7 +530,8 @@ def _node_id(prefix: str, *ids: str) -> str:
 
 
 def _label_ids(ids) -> str:
-    ids = sorted(ids)
+    """The label text of `ids`, a sorted list or a `RequirementSet`, which
+    iterates in sorted order."""
     return ", ".join(ids) if ids else "(none)"
 
 
@@ -538,8 +539,8 @@ def _country_view(catalog: Catalog, jurisdiction_id: str) -> GraphView:
     core, complements = algebra.shared_regulations(catalog)
     nodes = [
         ("complement", f"Jurisdiction-only regulations [{jurisdiction_id}]: "
-                       + _label_ids(complements[jurisdiction_id])),
-        ("core", "Shared regulations: " + _label_ids(core)),
+                       + _label_ids(sorted(complements[jurisdiction_id]))),
+        ("core", "Shared regulations: " + _label_ids(sorted(core))),
     ]
     edges = []
     for product in catalog.products:

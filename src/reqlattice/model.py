@@ -22,6 +22,8 @@ from itertools import chain, compress
 from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping, Union
 
+from .bitmap import DenseIndex, ScopeMap, decode, mask_of
+
 
 class AllScope:
     """Singleton marker: a scope covering every entity of the referenced type.
@@ -50,69 +52,6 @@ Scope = Union[AllScope, frozenset[str]]
 def _resolve(scopes: Iterable[Scope], universe: frozenset[str]) -> list[frozenset[str]]:
     """The scopes as id sets, in order: each ALL is `universe` itself, never a copy."""
     return [universe if scope is ALL else scope for scope in scopes]
-
-
-class _ScopeMap(Mapping[str, frozenset[str]]):
-    """A read-only map from each entity id of one axis to the ids of the
-    owners (requirements or regulations) whose resolved scope holds it.
-
-    Making the map is one pass over the owners' resolved scopes (`scopes`
-    holds one per owner, in order) that groups owner ids by entity: an owner
-    whose scope is the axis's own id set, a resolved ALL, goes once into one
-    list that every entry shares, and any other owner into the list of each
-    catalog entity its scope names. An entry becomes a frozenset on its first
-    read, which drops its list, so reading one entry costs the pass and that
-    entry, not the whole map. Unknown ids raise `KeyError`; iteration gives
-    the entity ids in catalog order.
-    """
-
-    __slots__ = ("_sets", "_lists", "_everywhere")
-
-    def __init__(
-        self,
-        owners: Iterable[Requirement | Regulation],
-        scopes: list[frozenset[str]],
-        entities: Iterable[Product | Jurisdiction],
-        universe: frozenset[str],
-    ) -> None:
-        lists: dict[str, list[str] | None] = {entity.id: [] for entity in entities}
-        everywhere: list[str] = []
-        for owner, scope in zip(owners, scopes):
-            if scope is universe:
-                everywhere.append(owner.id)
-                continue
-            for entity_id in scope:
-                members = lists.get(entity_id)
-                if members is not None:  # not an id outside the catalog
-                    members.append(owner.id)
-        # A built entry is read from `_sets` by one dict lookup; `_lists`
-        # keeps every entity id, in order, with None once its entry is built.
-        self._sets: dict[str, frozenset[str]] = {}
-        self._lists = lists
-        self._everywhere = everywhere
-
-    def __getitem__(self, entity_id: str) -> frozenset[str]:
-        try:
-            return self._sets[entity_id]
-        except KeyError:
-            pass
-        members = self._lists[entity_id]
-        if members is None:  # another thread built it since the lookup above
-            return self._sets[entity_id]
-        # `dict.fromkeys` drops a duplicated id and sizes the frozenset's
-        # table to its members, as a copy of a finished set would be.
-        built = self._sets[entity_id] = frozenset(dict.fromkeys(chain(self._everywhere, members)))
-        self._lists[entity_id] = None
-        return built
-
-    def __contains__(self, entity_id: object) -> bool:
-        return entity_id in self._lists
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._lists)
-
-    def __len__(self) -> int:
-        return len(self._lists)
 
 
 def _union_by_id(
@@ -278,23 +217,30 @@ class Catalog:
     # Every scope is resolved here, once per axis: three lists hold, in
     # collection order, each requirement's product scope, each requirement's
     # jurisdiction scope and each regulation's jurisdiction scope, with ALL
-    # replaced by the axis's own id set (the same object, never a copy). The
-    # scope maps, `find_warnings`'s RL coverage check and four per-axis
-    # aggregates (the requirements on every product, on some product, in
-    # every jurisdiction and in some jurisdiction) are each a pass over a
-    # list, so a construct that reads only aggregates on an axis never makes
-    # that axis's map.  A map's pass groups the owner ids by entity and
-    # builds each entry on its first read (`_ScopeMap`), so a construct that
-    # reads one entity's entry builds that entry alone.  A duplicated id
-    # covers the union of its scopes, which can cover every entity when no
-    # one scope does; so on a catalog with a duplicated id (`validate`
-    # refuses it) an aggregate's pass first folds each id's scopes into
-    # their union (`_union_by_id`, which `find_warnings` uses for the
-    # regulations), and a catalog without one skips the fold, which would
-    # double the aggregates' time.  An axis with no entities has empty
-    # aggregates ("every" is not the vacuous universe; the constructs that
-    # need an "every" refuse an empty axis first).
-    # Filling in a list, a map, a map's entry or an aggregate is idempotent.
+    # replaced by the axis's own id set (the same object, never a copy).
+    # The requirement sets are int masks over one dense index of the
+    # distinct requirement ids in sorted order (`requirement_index`, made on
+    # the first map, kind-set or aggregate read, never by `validate`): bit i
+    # stands for the i-th id, so every row of a duplicated id sets the same
+    # bit and its scopes unite with no special case.  The scope maps, the
+    # kind masks and four per-axis aggregate masks (the requirements on
+    # every product, on some product, in every jurisdiction and in some
+    # jurisdiction) are each a pass over a list, so a construct that reads
+    # only aggregates on an axis never makes that axis's map.  A map's pass
+    # groups bit positions by entity, with every ALL-scoped owner in one
+    # mask all entries share, and makes each entry's mask on its first read
+    # (`bitmap.ScopeMap`), so a construct that reads one entity's entry
+    # makes that entry alone.  An "every" aggregate tests each id's scope,
+    # so on a catalog with a duplicated id (`validate` refuses it) its pass
+    # first folds each id's scopes into their union (`_union_by_id`, which
+    # `find_warnings` uses for the regulations); a catalog without one
+    # skips the fold, which would double the aggregates' time.  An axis
+    # with no entities has empty aggregates ("every" is not the vacuous
+    # universe; the constructs that need an "every" refuse an empty axis
+    # first).  The public id-set forms of the kind sets and aggregates, and
+    # a map's entry read by key, decode a mask anew on every read.
+    # Filling in a list, an index, a map, a mask or an aggregate is
+    # idempotent.
 
     @cached_property
     def _product_scopes(self) -> list[frozenset[str]]:
@@ -310,61 +256,94 @@ class Catalog:
         return _resolve((r.jurisdictions for r in self.regulations), self.jurisdiction_ids)
 
     @cached_property
-    def requirements_by_product(self) -> Mapping[str, frozenset[str]]:
+    def requirement_index(self) -> DenseIndex:
+        """The distinct requirement ids in sorted order; every requirement
+        mask of the catalog is over it."""
+        return DenseIndex.of(self.requirements)
+
+    def _ids_of(self, mask: int) -> frozenset[str]:
+        return frozenset(decode(mask, self.requirement_index.ids))
+
+    @cached_property
+    def requirements_by_product(self) -> ScopeMap:
         """Each product id mapped to the ids of the requirements that apply
-        to it; an entry is built on its first read."""
-        return _ScopeMap(self.requirements, self._product_scopes, self.products, self.product_ids)
+        to it; an entry's mask is made on its first read."""
+        index, scopes = self.requirement_index, self._product_scopes
+        return ScopeMap(index, scopes, self.products, self.product_ids)
 
     @cached_property
-    def requirements_by_jurisdiction(self) -> Mapping[str, frozenset[str]]:
+    def requirements_by_jurisdiction(self) -> ScopeMap:
         """Each jurisdiction id mapped to the ids of the requirements that
-        apply in it; an entry is built on its first read."""
-        scopes = self._jurisdiction_scopes
-        return _ScopeMap(self.requirements, scopes, self.jurisdictions, self.jurisdiction_ids)
+        apply in it; an entry's mask is made on its first read."""
+        index, scopes = self.requirement_index, self._jurisdiction_scopes
+        return ScopeMap(index, scopes, self.jurisdictions, self.jurisdiction_ids)
 
     @cached_property
-    def requirements_by_kind(self) -> dict[Kind, frozenset[str]]:
-        return {kind: frozenset(r.id for r in self.requirements if r.kind is kind) for kind in Kind}
-
-    @cached_property
-    def regulations_by_jurisdiction(self) -> Mapping[str, frozenset[str]]:
+    def regulations_by_jurisdiction(self) -> ScopeMap:
         """Each jurisdiction id mapped to the ids of the regulations that
-        belong to it; an entry is built on its first read."""
-        scopes = self._regulation_scopes
-        return _ScopeMap(self.regulations, scopes, self.jurisdictions, self.jurisdiction_ids)
+        belong to it, over an index of the regulation ids."""
+        index, scopes = DenseIndex.of(self.regulations), self._regulation_scopes
+        return ScopeMap(index, scopes, self.jurisdictions, self.jurisdiction_ids)
 
-    def _covering(
-        self, scopes: list[frozenset[str]], universe: frozenset[str], every: bool
-    ) -> frozenset[str]:
-        """The ids of the requirements whose resolved scope (`scopes` holds one
-        per requirement, in order) covers every, or some, entity of `universe`."""
+    @cached_property
+    def masks_by_kind(self) -> dict[Kind, int]:
+        """Each kind mapped to the mask of the requirements of that kind."""
+        ids, rows = self.requirement_index
+        return {
+            kind: mask_of(compress(rows, [r.kind is kind for r in self.requirements]), len(ids))
+            for kind in Kind
+        }
+
+    @property
+    def requirements_by_kind(self) -> dict[Kind, frozenset[str]]:
+        return {kind: self._ids_of(mask) for kind, mask in self.masks_by_kind.items()}
+
+    def _covering(self, scopes: list[frozenset[str]], universe: frozenset[str], every: bool) -> int:
+        """The mask of the requirements whose resolved scope (`scopes` holds
+        one per requirement, in order) covers every, or some, entity of
+        `universe`."""
         if not universe:
-            return frozenset()
-        ids = [r.id for r in self.requirements]
-        if len(self.requirement_ids) != len(ids):
-            union = _union_by_id(self.requirements, scopes)
-            ids, scopes = union.keys(), union.values()
+            return 0
+        ids, rows = self.requirement_index
+        if len(ids) != len(rows):
+            scopes, rows = _union_by_id(self.requirements, scopes).values(), range(len(ids))
         if every:
             hits = map(universe.issubset, scopes)
         else:
             hits = map(not_, map(universe.isdisjoint, scopes))
-        return frozenset(compress(ids, hits))
+        return mask_of(compress(rows, hits), len(ids))
 
     @cached_property
-    def requirements_on_every_product(self) -> frozenset[str]:
+    def mask_on_every_product(self) -> int:
         return self._covering(self._product_scopes, self.product_ids, every=True)
 
     @cached_property
-    def requirements_on_some_product(self) -> frozenset[str]:
+    def mask_on_some_product(self) -> int:
         return self._covering(self._product_scopes, self.product_ids, every=False)
 
     @cached_property
-    def requirements_in_every_jurisdiction(self) -> frozenset[str]:
+    def mask_in_every_jurisdiction(self) -> int:
         return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=True)
 
     @cached_property
-    def requirements_in_some_jurisdiction(self) -> frozenset[str]:
+    def mask_in_some_jurisdiction(self) -> int:
         return self._covering(self._jurisdiction_scopes, self.jurisdiction_ids, every=False)
+
+    @property
+    def requirements_on_every_product(self) -> frozenset[str]:
+        return self._ids_of(self.mask_on_every_product)
+
+    @property
+    def requirements_on_some_product(self) -> frozenset[str]:
+        return self._ids_of(self.mask_on_some_product)
+
+    @property
+    def requirements_in_every_jurisdiction(self) -> frozenset[str]:
+        return self._ids_of(self.mask_in_every_jurisdiction)
+
+    @property
+    def requirements_in_some_jurisdiction(self) -> frozenset[str]:
+        return self._ids_of(self.mask_in_some_jurisdiction)
 
 
 class Severity(str, Enum):

@@ -6,6 +6,7 @@ corpora are reproducible run to run.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from reqlattice.model import (
@@ -141,3 +142,27 @@ def random_catalog(
         requirements=requirements,
         refinements=refinements,
     )
+
+
+def with_duplicated_ids(rng: random.Random, catalog: Catalog) -> Catalog:
+    """Repeat some requirements under the same id with another scope: mostly
+    the complement of the original, so that only the union of the two covers
+    a whole axis."""
+    pids = frozenset(p.id for p in catalog.products)
+    jids = frozenset(j.id for j in catalog.jurisdictions)
+
+    def other(scope, universe):
+        if scope is ALL or rng.random() < 0.3:
+            return frozenset(rng.sample(sorted(universe), rng.randint(0, len(universe))))
+        return universe - scope
+
+    repeats = [
+        dataclasses.replace(
+            r,
+            applies_to_products=other(r.applies_to_products, pids),
+            applies_to_jurisdictions=other(r.applies_to_jurisdictions, jids),
+        )
+        for r in catalog.requirements
+        if rng.random() < 0.4
+    ]
+    return dataclasses.replace(catalog, requirements=catalog.requirements + tuple(repeats))

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from randcat import random_catalog
+from randcat import random_catalog, with_duplicated_ids
 from reqlattice.algebra import (
     RequirementSet,
+    general_part,
     global_union,
     jurisdiction_regulations,
     jurisdiction_rl,
@@ -433,6 +434,99 @@ def test_requirement_set_behaviour():
     assert list(s - t) == ["a"]
     assert RequirementSet(["a"]).issubset(s)
     assert not RequirementSet()
+
+
+def _join(a, b):
+    return ALL if a is ALL or b is ALL else a | b
+
+
+def merged(catalog: Catalog) -> Catalog:
+    """The catalog with the rows of each repeated id folded into one, whose
+    scopes are the union of theirs: a repeated id covers that union."""
+    rows: dict[str, Requirement] = {}
+    for r in catalog.requirements:
+        first = rows.setdefault(r.id, r)
+        rows[r.id] = dataclasses.replace(
+            first,
+            applies_to_products=_join(first.applies_to_products, r.applies_to_products),
+            applies_to_jurisdictions=_join(
+                first.applies_to_jurisdictions, r.applies_to_jurisdictions
+            ),
+        )
+    return dataclasses.replace(catalog, requirements=list(rows.values()))
+
+
+def constructed_sets(catalog: Catalog) -> list[tuple[RequirementSet, set[str]]]:
+    """Sets the constructs return, each with its ids by brute force."""
+    jids = [j.id for j in catalog.jurisdictions]
+    pids = [p.id for p in catalog.products]
+    one_row = merged(catalog)
+    sets, everything = [], set()
+    for pid in pids:
+        union = set().union(*(brute_projection(one_row, pid, jid) for jid in jids))
+        everything |= union
+        sets.append((product_union(catalog, pid), union))
+        every = set.intersection(*(brute_projection(one_row, pid, jid, Kind.RL) for jid in jids))
+        sets.append((general_part(catalog, pid, Kind.RL), every))
+        for jid in jids:
+            sets.append((requirements_for(catalog, pid, jid), brute_projection(one_row, pid, jid)))
+    for jid in jids:
+        rl = [brute_projection(one_row, pid, jid, Kind.RL) for pid in pids]
+        sets.append((jurisdiction_rl(catalog, jid), set().union(*rl)))
+        sets.append((rl_min(catalog, jid), set.intersection(*rl)))
+    return [(global_union(catalog), everything), *sets]
+
+
+def test_constructed_sets_behave_as_the_sets_of_their_ids():
+    # A construct's set holds a mask over the catalog's ids; `RequirementSet(ids)`
+    # holds the ids. Whatever each holds, the two are one value.
+    rng = random.Random(4242)
+    ghost = "r999"
+    for trial in range(40):
+        catalog = random_catalog(rng, max_requirements=120 if trial % 5 == 0 else 40)
+        if trial % 2:
+            catalog = with_duplicated_ids(rng, catalog)
+        every_id = [r.id for r in catalog.requirements] + [ghost]
+        sets = constructed_sets(catalog)
+        pairs = [(got, RequirementSet(want)) for got, want in sets]
+        for (got, plain), (_, want) in zip(pairs, sets):
+            assert got == plain and plain == got and not got != plain
+            assert hash(got) == hash(plain) and {plain: 1}[got] == 1 and {got: 1}[plain] == 1
+            assert list(got) == list(plain) == sorted(want)
+            assert len(got) == len(plain) == len(want) and bool(got) == bool(want)
+            assert [i in got for i in every_id] == [i in plain for i in every_id]
+            assert got.members == plain.members == want
+            assert got.ids == plain.ids == tuple(sorted(want))
+        for (a, a_plain), (b, b_plain) in zip(pairs, rng.sample(pairs, len(pairs))):
+            for left, right in [(a, b), (a_plain, b), (a, b_plain), (b, a), (b_plain, a)]:
+                lw, rw = set(left), set(right)
+                assert list(left | right) == sorted(lw | rw)
+                assert list(left & right) == sorted(lw & rw)
+                assert list(left - right) == sorted(lw - rw)
+                assert left - right == RequirementSet(lw - rw)
+                assert left.issubset(right) == (lw <= rw)
+                assert left.isdisjoint(right) == lw.isdisjoint(rw)
+
+
+def test_product_union_restricted_to_one_kind_matches_brute_force():
+    rng = random.Random(5151)
+    for trial in range(40):
+        catalog = random_catalog(rng)
+        if trial % 2:
+            catalog = with_duplicated_ids(rng, catalog)
+        jids = [j.id for j in catalog.jurisdictions]
+        one_row = merged(catalog)
+        for pid in (p.id for p in catalog.products):
+            for kind in (Kind.RL, Kind.RFN, "rl", "RFN"):
+                brute = set().union(
+                    *(brute_projection(one_row, pid, jid, Kind(kind)) for jid in jids)
+                )
+                assert list(product_union(catalog, pid, kind)) == sorted(brute)
+            assert product_union(catalog, pid, None) == product_union(catalog, pid)
+    with pytest.raises(UnknownIdError):
+        product_union(MIXED, "nope", Kind.RL)
+    with pytest.raises(ValueError):
+        product_union(MIXED, "P1", "bogus")
 
 
 def test_algebra_laws_on_random_catalogs():

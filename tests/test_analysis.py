@@ -361,8 +361,8 @@ SCOPE_MAPS = (BY_PRODUCT, BY_JURISDICTION, "regulations_by_jurisdiction")
 
 
 def built_entries(catalog: Catalog) -> dict[str, set[str]]:
-    """For each scope map the catalog has made, the ids whose entry it has built."""
-    return {name: set(vars(catalog)[name]._sets) for name in SCOPE_MAPS if name in vars(catalog)}
+    """For each scope map the catalog has made, the ids whose entry mask it has made."""
+    return {name: set(vars(catalog)[name]._masks) for name in SCOPE_MAPS if name in vars(catalog)}
 
 
 @pytest.mark.parametrize(

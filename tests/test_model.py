@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from randcat import random_catalog, random_digraph
+from randcat import random_catalog, random_digraph, with_duplicated_ids
 from reqlattice.algebra import general_part, rl_min
 from reqlattice.errors import CatalogInvalidError
 from reqlattice.io import load
@@ -444,8 +444,8 @@ def scan(owners, scope_of, universe) -> dict[str, frozenset[str]]:
 
 
 class RacingSets(dict):
-    """A fresh scope map's built entries, where another reader builds the
-    entry of the map's first miss between the map's two lookups of it."""
+    """A fresh scope map's made entry masks, where another reader makes the
+    mask of the map's first miss between the map's two lookups of it."""
 
     def __init__(self, scope_map):
         super().__init__()
@@ -483,30 +483,6 @@ def with_foreign_ids(rng: random.Random, catalog: Catalog) -> Catalog:
             for r in catalog.requirements
         ],
     )
-
-
-def with_duplicated_ids(rng: random.Random, catalog: Catalog) -> Catalog:
-    """Repeat some requirements under the same id with another scope: mostly
-    the complement of the original, so that only the union of the two covers
-    a whole axis."""
-    pids = frozenset(p.id for p in catalog.products)
-    jids = frozenset(j.id for j in catalog.jurisdictions)
-
-    def other(scope, universe):
-        if scope is ALL or rng.random() < 0.3:
-            return frozenset(rng.sample(sorted(universe), rng.randint(0, len(universe))))
-        return universe - scope
-
-    repeats = [
-        dataclasses.replace(
-            r,
-            applies_to_products=other(r.applies_to_products, pids),
-            applies_to_jurisdictions=other(r.applies_to_jurisdictions, jids),
-        )
-        for r in catalog.requirements
-        if rng.random() < 0.4
-    ]
-    return dataclasses.replace(catalog, requirements=catalog.requirements + tuple(repeats))
 
 
 def uncovered_rl(catalog: Catalog) -> list[tuple[str, ...]]:
@@ -676,12 +652,12 @@ def test_scope_maps_match_a_per_entity_scan():
             ("regulations_by_jurisdiction", by_regulation),
         ]:
             scope_map = getattr(by_key, name)
-            scope_map._sets = RacingSets(scope_map)
+            scope_map._masks = RacingSets(scope_map)
             keys = list(want)
             order.shuffle(keys)
             for key in keys:
                 assert scope_map[key] == want[key]
-            assert scope_map._sets.raced == bool(keys)
+            assert scope_map._masks.raced == bool(keys)
             assert "ghost" not in scope_map
             with pytest.raises(KeyError):
                 scope_map["ghost"]

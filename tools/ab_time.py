@@ -17,15 +17,19 @@ times, each step on a fresh parse of the file's bytes and right after
 * `io.load` of the catalog file, the path every CLI call takes;
 * `model.validate` of a freshly loaded catalog;
 * `refinement.build_graph` of a freshly loaded catalog;
-* four `cli.main` calls, each with stdout and stderr captured and each
+* five `cli.main` calls, each with stdout and stderr captured and each
   reading the file itself: `classify CATALOG --json` (step `classify`),
   which reads no requirement scope map; `sets CATALOG --product P
   --jurisdiction J --json` (step `sets`), one projection; `optimize
   CATALOG --jurisdiction J --json` (step `optimize`), one jurisdiction's
-  strongest RL set; and `optimize CATALOG --global --json` (step
-  `global`), whose `--json` payload, a list of kept ids and a list of
-  records, is the largest of the four. P and J are the first product and
-  jurisdiction ids of the loaded catalog.
+  strongest RL set; `optimize CATALOG --global --json` (step `global`),
+  whose `--json` payload, a list of kept ids and a list of records, is the
+  largest of the four; and `export CATALOG --view global --out FILE`
+  (step `view`), the benchmark's `wide` subprocess command, which reads
+  every entry of both requirement scope maps and writes one label per
+  (product, jurisdiction) pair to FILE, a file in a temporary directory.
+  P and J are the first product and jurisdiction ids of the loaded
+  catalog.
 
 It prints, per catalog and step, each side's median and quartiles in ms,
 the change of B against A in percent, and in how many pairs B was faster.
@@ -47,10 +51,13 @@ import importlib.util
 import io
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-STEPS = ("loads", "load", "validate", "build_graph", "classify", "sets", "optimize", "global")
+STEPS = (
+    "loads", "load", "validate", "build_graph", "classify", "sets", "optimize", "global", "view"
+)
 
 
 def _import(src: str, name: str):
@@ -76,8 +83,8 @@ def _timed(call) -> float:
     return (time.perf_counter_ns() - start) / 1e6
 
 
-def _calls(lib, path: str) -> dict[str, list[str]]:
-    """The `cli.main` argument list of each CLI step."""
+def _calls(lib, path: str, out: str) -> dict[str, list[str]]:
+    """The `cli.main` argument list of each CLI step; `view` writes to `out`."""
     catalog = lib.io.load(path)
     product, jurisdiction = catalog.products[0].id, catalog.jurisdictions[0].id
     return {
@@ -85,6 +92,7 @@ def _calls(lib, path: str) -> dict[str, list[str]]:
         "sets": ["sets", path, "--product", product, "--jurisdiction", jurisdiction, "--json"],
         "optimize": ["optimize", path, "--jurisdiction", jurisdiction, "--json"],
         "global": ["optimize", path, "--global", "--json"],
+        "view": ["export", path, "--view", "global", "--out", out],
     }
 
 
@@ -121,26 +129,28 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"A": _import(args.src_a, "reqlattice_a"), "B": _import(args.src_b, "reqlattice_b")}
 
     print(f"{args.pairs} pairs per catalog; ms as median [q1, q3]; wins = pairs where B was faster")
-    for path in args.catalogs:
-        data = Path(path).read_bytes()
-        calls = _calls(sides["A"], path)
-        times = {(side, step): [] for side in sides for step in STEPS}
-        for pair in range(args.pairs):
-            for side in (("A", "B") if pair % 2 == 0 else ("B", "A")):
-                for step, ms in _side(sides[side], path, data, calls).items():
-                    times[side, step].append(ms)
-        print(f"\n{path}")
-        for step, argv in calls.items():
-            print(f"  {step}: {' '.join(argv[:1] + argv[2:])}")
-        print(f"{'step':12s} {'A':>24s} {'B':>24s} {'change':>8s} {'wins':>7s}")
-        for step in STEPS:
-            a, b = times["A", step], times["B", step]
-            (a1, am, a3), (b1, bm, b3) = _quartiles(a), _quartiles(b)
-            wins = sum(y < x for x, y in zip(a, b))
-            print(
-                f"{step:12s} {am:8.2f} [{a1:6.2f}, {a3:6.2f}] {bm:8.2f} [{b1:6.2f}, {b3:6.2f}]"
-                f" {(bm / am - 1) * 100:+7.1f}% {wins:3d}/{args.pairs}"
-            )
+    with tempfile.TemporaryDirectory(prefix="ab-time-") as work:
+        out = str(Path(work, "view.dot"))
+        for path in args.catalogs:
+            data = Path(path).read_bytes()
+            calls = _calls(sides["A"], path, out)
+            times = {(side, step): [] for side in sides for step in STEPS}
+            for pair in range(args.pairs):
+                for side in (("A", "B") if pair % 2 == 0 else ("B", "A")):
+                    for step, ms in _side(sides[side], path, data, calls).items():
+                        times[side, step].append(ms)
+            print(f"\n{path}")
+            for step, argv in calls.items():
+                print(f"  {step}: {' '.join(argv[:1] + argv[2:])}")
+            print(f"{'step':12s} {'A':>24s} {'B':>24s} {'change':>8s} {'wins':>7s}")
+            for step in STEPS:
+                a, b = times["A", step], times["B", step]
+                (a1, am, a3), (b1, bm, b3) = _quartiles(a), _quartiles(b)
+                wins = sum(y < x for x, y in zip(a, b))
+                print(
+                    f"{step:12s} {am:8.2f} [{a1:6.2f}, {a3:6.2f}] {bm:8.2f} [{b1:6.2f}, {b3:6.2f}]"
+                    f" {(bm / am - 1) * 100:+7.1f}% {wins:3d}/{args.pairs}"
+                )
     return 0
 
 

@@ -83,25 +83,28 @@ MUTANTS = [
      "union[owner.id] = scope",
      "a regulation id twice covers the union of its scopes in RL_COVERAGE, and a requirement "
      "id twice is on every product when its scopes together cover them"),
-    ("model", "if len(self.requirement_ids) != len(ids):", "if False:",
+    ("model", "if len(ids) != len(rows):", "if False:",
      "a duplicated id is on every product, or in every jurisdiction, when its scopes "
      "together cover them"),
-    ("model", "        if not universe:\n            return frozenset()\n", "",
+    ("model", "        if not universe:\n            return 0\n", "",
      "an axis with no entities has empty aggregates"),
-    ("model", "                everywhere.append(owner.id)\n", "",
+    # bitmap: the dense index, the shared "all" mask and the entries.
+    ("bitmap", "if len(ids) == len(owners):", "if True:",
+     "each row of a duplicated id sets its id's bit"),
+    ("bitmap", "                everywhere.append(row)\n", "",
      'an "all"-scoped owner is in every entry of a scope map'),
-    ("model", "if scope is universe:", "if False:",
+    ("bitmap", "if scope is universe:", "if False:",
      'one projection of an all-scoped 300 x 300 catalog holds under 5 MB: an "all"-scoped '
-     "owner goes once into the list every entry shares, not into each entity's list"),
-    ("model", "if members is None:  # another thread", "if False:  # another thread",
-     "an entry another reader built between the map's two lookups is read, not built again"),
+     "owner goes once into the mask every entry shares, not into each entity's list"),
+    ("bitmap", "if members is None:  # another thread", "if False:  # another thread",
+     "an entry another reader made between the map's two lookups is read, not made again"),
     ("model", "return next((kind for kind in cls if kind.value == value.upper()), None)",
      "return next((kind for kind in cls if kind.value == value), None)",
      "the constructors read a kind name in any case"),
     # algebra, refinement, analysis.
-    ("algebra", "if kind_filter is not None:\n        members &=",
-     "if False:\n        members &=",
-     "a projection restricted to one kind"),
+    ("algebra", "if kind is not None:\n        mask &=",
+     "if False:\n        mask &=",
+     "a projection, or a product union, restricted to one kind"),
     ("refinement", "ids = sorted(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "ids = list(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "a dropped requirement's witness is its smallest dominating member"),
@@ -138,16 +141,29 @@ EQUIVALENT = [
     ("io", "    del value, column\n", "",
      "frees the collection's dicts before the entities are built; `io.load` of the "
      "seed-11 `wide` catalog peaks at 6.43 MB with the line and 6.64 MB without (tracemalloc)"),
-    ("model", "frozenset(dict.fromkeys(chain(self._everywhere, members)))",
-     "frozenset(chain(self._everywhere, members))",
-     "sizes an entry's table to its members; both requirement maps of the seed-11 "
-     "`wide` catalog read whole hold 1.81 MB with it and 2.69 MB without "
-     "(tracemalloc)"),
-    ("model", "len(self.requirement_ids) != len(ids)", "True",
+    ("model", "len(ids) != len(rows)", "True",
      "skips the fold of each id's scopes on a catalog with no repeated requirement id, where "
-     "every id has one scope; the four aggregates on a fresh copy of the seed-11 catalogs "
-     "take 1.08 ms with it and 2.21 without on `wide`, 0.68 and 1.35 on `deep`, 1.01 and "
-     "2.10 on `edit` (median of 6 processes, each the min of 40 calls)"),
+     "every id has one scope; the four aggregate masks on a fresh copy of the seed-11 "
+     "catalogs take 1.16 ms with it and 2.23 without on `wide`, 0.58 and 1.22 on `deep`, "
+     "0.94 and 1.97 on `edit` (median of 3 processes, each the min of 40 calls)"),
+    ("bitmap", "bit = {owner_id: position for position, owner_id in enumerate(ids)}\n"
+     "        return cls(ids, [bit[owner.id] for owner in owners])",
+     "return cls(ids, list(range(len(ids))))",
+     "numbers the rows through a dict only when an id repeats; `requirement_index` of the "
+     "seed-11 `wide` catalog keeps 24.7 kB and takes 0.63 ms with the `range` of a catalog "
+     "without repeats, and keeps 127.5 kB and takes 0.92 ms with a list (tracemalloc; "
+     "min of 40 calls)"),
+    ("bitmap", "if mask.bit_count() * 50 < len(ids):", "if False:",
+     "walks the set bits of a sparse mask instead of one `compress` over every bit: "
+     "a 10-bit mask over 3,000 ids decodes in 2.8 us walked and 21.7 us compressed, and "
+     "the seed-11 `wide` global view builds in 22-24 ms with the choice and 30-36 ms "
+     "without (min of 15 builds on a fresh copy, three processes)"),
+    ("bitmap", 'return compress(ids, format(mask, "b")[::-1].encode().translate(_FLAGS))',
+     "return _set_bits(mask, ids)",
+     "decodes a dense mask with one `compress` over every bit: a 3,000-bit mask over 3,000 "
+     "ids decodes in 38 us compressed and 844 us walked, and the seed-11 `wide` global view "
+     "builds in 22-24 ms with it and 36-40 ms walking every mask (min of 15 builds on a "
+     "fresh copy, three processes)"),
     ("model", "if len(ids) == len(entities) and all(ids):", "if False:",
      "skips the id walk on a catalog with no empty or repeated id, where it finds nothing; "
      "`validate` on the seed-11 catalogs takes 3.72 ms with it and 3.97 without on `wide`, "
