@@ -6,13 +6,13 @@ the masks of its scope maps (`Catalog.requirements_by_product` and its
 siblings), of its kind sets (`Catalog.masks_by_kind`) and of its per-axis
 aggregates (`Catalog.mask_on_some_product` and its siblings), which the
 catalog fills in on first use from its scopes, with `"all"` resolved once
-per axis; nothing here looks at a scope. A scope map makes each entity's
-mask on its first read, so a construct about one product or one
-jurisdiction pays for that entry, not for the whole map. A construct
+per axis; nothing here looks at a scope. A scope map makes every
+entity's mask in the one pass that makes the map, and a construct that
+reads only an axis's aggregates never makes that axis's map. A construct
 returns a `RequirementSet` holding its mask and the index's ids, which
 decodes the mask only when the set is iterated or asked for `members` or
 `ids`, and lists the ids in sorted order without sorting them. All
-functions are pure and filling in a map, an entry or an aggregate is
+functions are pure and filling in a map or an aggregate is
 idempotent, so repeated calls give identical results and concurrent
 readers need no locking.
 

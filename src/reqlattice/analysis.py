@@ -121,13 +121,16 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
     Affected requirements are the regulation-derived ones citing the
     regulation; affected products are every product those requirements
     apply to. Scope is global exactly when the regulation sits in the
-    shared core, otherwise it is confined to the jurisdictions whose
-    complements contain it.
+    shared core, otherwise it is confined to the jurisdictions that hold it
+    (those whose complements contain it).
     """
     if regulation_id not in catalog.regulation_ids:
         raise UnknownIdError(f"unknown regulation: {regulation_id!r}")
-    core, complements = shared_regulations(catalog)
-    in_core = regulation_id in core
+    if not catalog.jurisdictions:
+        raise EmptyCatalogError("shared regulations need at least one jurisdiction")
+    by_jurisdiction = catalog.regulations_by_jurisdiction
+    holding = tuple(sorted(jid for jid, regs in by_jurisdiction.items() if regulation_id in regs))
+    in_core = len(holding) == len(by_jurisdiction)
 
     citing = [
         req
@@ -143,16 +146,13 @@ def change_impact(catalog: Catalog, regulation_id: str) -> ImpactReport:
         *(products if r.applies_to_products is ALL else r.applies_to_products for r in citing)
     )
     affected_products = tuple(sorted(reached & products))
-    jurisdictions = tuple(
-        sorted(jid for jid, extra in complements.items() if regulation_id in extra)
-    )
     return ImpactReport(
         regulation=regulation_id,
         in_core=in_core,
         affected_requirements=affected,
         affected_products=affected_products,
         scope=ImpactScope.GLOBAL if in_core else ImpactScope.COUNTRY_SPECIFIC,
-        jurisdictions=() if in_core else jurisdictions,
+        jurisdictions=() if in_core else holding,
     )
 
 

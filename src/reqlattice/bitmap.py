@@ -40,6 +40,11 @@ def mask_of(positions: Iterable[int], size: int) -> int:
     flags = bytearray(size)
     for position in positions:
         flags[position] = 1
+    return _mask_of_flags(flags)
+
+
+def _mask_of_flags(flags: bytearray) -> int:
+    """The mask whose bit i is set where `flags[i]` is 1."""
     return int(b"0" + flags[::-1].translate(_DIGITS), 2)
 
 
@@ -68,18 +73,18 @@ class ScopeMap(Mapping[str, frozenset[str]]):
     kept as one mask per entity over the owners' `DenseIndex`.
 
     Making the map is one pass over the owners' resolved scopes (`scopes`
-    holds one per row of the index, in order) that groups bit positions by
-    entity: an owner whose scope is the axis's own id set, a resolved ALL,
-    goes into one mask that every entry shares, and any other owner into
-    the list of each catalog entity its scope names. An entry's mask is
-    made on its first `mask` read, which drops its list, so reading one
-    entry costs the pass and that entry, not the whole map. Reading an
+    holds one per row of the index, in order) that sets each owner's bit in
+    a row of flags per entity: an owner whose scope is the axis's own id
+    set, a resolved ALL, sets its bit once in the flags of a mask that
+    every entry shares, and any other owner in the flags of each catalog
+    entity its scope names. Every entry's mask is made from its flags at
+    the end of that pass, and the map never changes after it. Reading an
     entry by key decodes its mask into a new frozenset, which the map does
     not keep. Unknown ids raise `KeyError`; iteration gives the entity ids
     in catalog order.
     """
 
-    __slots__ = ("_masks", "_lists", "_everywhere", "_ids")
+    __slots__ = ("_masks", "_ids")
 
     def __init__(
         self,
@@ -88,44 +93,33 @@ class ScopeMap(Mapping[str, frozenset[str]]):
         entities: Iterable,
         universe: frozenset[str],
     ) -> None:
-        lists: dict[str, list[int] | None] = {entity.id: [] for entity in entities}
-        everywhere: list[int] = []
+        size = len(index.ids)
+        flags = {entity.id: bytearray(size) for entity in entities}
+        everywhere = bytearray(size)
         for row, scope in zip(index.rows, scopes):
             if scope is universe:
-                everywhere.append(row)
+                everywhere[row] = 1
                 continue
             for entity_id in scope:
-                members = lists.get(entity_id)
-                if members is not None:  # not an id outside the catalog
-                    members.append(row)
-        # A made mask is read from `_masks` by one dict lookup; `_lists`
-        # keeps every entity id, in order, with None once its mask is made.
-        self._masks: dict[str, int] = {}
-        self._lists = lists
-        self._everywhere = mask_of(everywhere, len(index.ids))
+                entity_flags = flags.get(entity_id)
+                if entity_flags is not None:  # not an id outside the catalog
+                    entity_flags[row] = 1
+        shared = _mask_of_flags(everywhere)
+        self._masks = {key: shared | _mask_of_flags(bits) for key, bits in flags.items()}
         self._ids = index.ids
 
     def mask(self, entity_id: str) -> int:
         """The mask of the owners whose scope holds `entity_id`."""
-        try:
-            return self._masks[entity_id]
-        except KeyError:
-            pass
-        members = self._lists[entity_id]
-        if members is None:  # another thread made it since the lookup above
-            return self._masks[entity_id]
-        made = self._masks[entity_id] = self._everywhere | mask_of(members, len(self._ids))
-        self._lists[entity_id] = None
-        return made
+        return self._masks[entity_id]
 
     def __getitem__(self, entity_id: str) -> frozenset[str]:
-        return frozenset(decode(self.mask(entity_id), self._ids))
+        return frozenset(decode(self._masks[entity_id], self._ids))
 
     def __contains__(self, entity_id: object) -> bool:
-        return entity_id in self._lists
+        return entity_id in self._masks
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._lists)
+        return iter(self._masks)
 
     def __len__(self) -> int:
-        return len(self._lists)
+        return len(self._masks)

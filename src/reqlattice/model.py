@@ -227,20 +227,20 @@ class Catalog:
     # every product, on some product, in every jurisdiction and in some
     # jurisdiction) are each a pass over a list, so a construct that reads
     # only aggregates on an axis never makes that axis's map.  A map's pass
-    # groups bit positions by entity, with every ALL-scoped owner in one
-    # mask all entries share, and makes each entry's mask on its first read
-    # (`bitmap.ScopeMap`), so a construct that reads one entity's entry
-    # makes that entry alone.  An "every" aggregate tests each id's scope,
-    # so on a catalog with a duplicated id (`validate` refuses it) its pass
-    # first folds each id's scopes into their union (`_union_by_id`, which
-    # `find_warnings` uses for the regulations); a catalog without one
-    # skips the fold, which would double the aggregates' time.  An axis
-    # with no entities has empty aggregates ("every" is not the vacuous
-    # universe; the constructs that need an "every" refuse an empty axis
-    # first).  The public id-set forms of the kind sets and aggregates, and
-    # a map's entry read by key, decode a mask anew on every read.
+    # sets each owner's bit in one row of flags per entity, with every
+    # ALL-scoped owner in one mask all entries share, and ends by making
+    # every entry's mask (`bitmap.ScopeMap`).  An "every" aggregate tests
+    # each id's scope, so on a catalog with a duplicated id (`validate`
+    # refuses it) its pass first folds each id's scopes into their union
+    # (`_union_by_id`, which `find_warnings` uses for the regulations); a
+    # catalog without one skips the fold, which would double the
+    # aggregates' time.  An axis with no entities has empty aggregates
+    # ("every" is not the vacuous universe; the constructs that need an
+    # "every" refuse an empty axis first).  The public id-set forms of the
+    # kind sets and aggregates, and a map's entry read by key, decode a mask
+    # anew on every read.
     # Filling in a list, an index, a map, a mask or an aggregate is
-    # idempotent.
+    # idempotent, and none of them changes once made.
 
     @cached_property
     def _product_scopes(self) -> list[frozenset[str]]:
@@ -267,14 +267,14 @@ class Catalog:
     @cached_property
     def requirements_by_product(self) -> ScopeMap:
         """Each product id mapped to the ids of the requirements that apply
-        to it; an entry's mask is made on its first read."""
+        to it."""
         index, scopes = self.requirement_index, self._product_scopes
         return ScopeMap(index, scopes, self.products, self.product_ids)
 
     @cached_property
     def requirements_by_jurisdiction(self) -> ScopeMap:
         """Each jurisdiction id mapped to the ids of the requirements that
-        apply in it; an entry's mask is made on its first read."""
+        apply in it."""
         index, scopes = self.requirement_index, self._jurisdiction_scopes
         return ScopeMap(index, scopes, self.jurisdictions, self.jurisdiction_ids)
 

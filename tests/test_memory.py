@@ -6,10 +6,10 @@ Each bound is traced Python allocation (`tracemalloc`) during one call,
 with at least 20% headroom over what the package needs. A loaded catalog
 shares one frozenset per distinct id array and keeps no decoded text,
 `export` streams its `.dot` file, a resolved `"all"` scope is the
-axis's own id set, a scope map makes only the entries that are read, and
-its entries, kind sets and aggregates are int masks over one dense index
-of the requirement ids, not frozensets; a change that gives up any of
-these crosses a bound.
+axis's own id set that goes once into the mask a scope map's entries
+share, and a map's entries, kind sets and aggregates are int masks over
+one dense index of the requirement ids, not frozensets; a change that
+gives up any of these crosses a bound.
 """
 
 from __future__ import annotations
@@ -103,12 +103,13 @@ def test_resolving_all_scopes_copies_no_axis():
     assert all(scope is catalog.product_ids for scope in catalog._product_scopes)
 
 
-def test_one_projection_builds_one_entry_per_axis():
+def test_one_projection_builds_both_maps_as_masks():
     catalog = _scoped_all_throughout()
     peak, retained = _traced(lambda: requirements_for(catalog, "P007", "C123"))
     assert len(requirements_for(catalog, "P007", "C123")) == 5000
-    # Both whole maps hold about 157 MB; one entry per axis and the result
-    # about 1.3 MB.
+    # Both whole maps with frozenset entries hold about 157 MB; as masks,
+    # with the "all" owners in one shared mask, they peak at 2.1 MB (the
+    # rows of flags the pass sets) and keep 0.6 MB.
     assert retained <= 5_000_000, f"retained {retained / 1e6:.2f} MB"
     assert peak <= 5_000_000, f"peak {peak / 1e6:.2f} MB"
 

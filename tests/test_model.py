@@ -443,23 +443,6 @@ def scan(owners, scope_of, universe) -> dict[str, frozenset[str]]:
     }
 
 
-class RacingSets(dict):
-    """A fresh scope map's made entry masks, where another reader makes the
-    mask of the map's first miss between the map's two lookups of it."""
-
-    def __init__(self, scope_map):
-        super().__init__()
-        self.scope_map = scope_map
-        self.raced = False
-
-    def __getitem__(self, key):
-        if not self.raced and key not in self:
-            self.raced = True
-            self.scope_map[key]  # the other reader, which finds no race
-            raise KeyError(key)
-        return super().__getitem__(key)
-
-
 def with_foreign_ids(rng: random.Random, catalog: Catalog) -> Catalog:
     """Add ids that name no catalog entity to some explicit scopes."""
 
@@ -642,8 +625,7 @@ def test_scope_maps_match_a_per_entity_scan():
         by_regulation = scan(catalog.regulations, lambda r: r.jurisdictions, jids)
         by_kind = {kind: frozenset(r.id for r in reqs if r.kind is kind) for kind in Kind}
         # A fresh copy whose entries are each read by key, in a shuffled
-        # order, before any map is read whole; each map's first read finds
-        # its entry built by another reader since the map looked it up.
+        # order, before any map is read whole.
         by_key = dataclasses.replace(catalog)
         order = random.Random(trial)
         for name, want in [
@@ -652,12 +634,10 @@ def test_scope_maps_match_a_per_entity_scan():
             ("regulations_by_jurisdiction", by_regulation),
         ]:
             scope_map = getattr(by_key, name)
-            scope_map._masks = RacingSets(scope_map)
             keys = list(want)
             order.shuffle(keys)
             for key in keys:
                 assert scope_map[key] == want[key]
-            assert scope_map._masks.raced == bool(keys)
             assert "ghost" not in scope_map
             with pytest.raises(KeyError):
                 scope_map["ghost"]
@@ -689,3 +669,25 @@ def test_scope_maps_match_a_per_entity_scan():
                     by_product[pid] & by_kind[kind] & every(by_jurisdiction)
                 )
     assert duplicated >= 30 and uncovered >= 30
+
+
+class Unwalkable(frozenset):
+    """An axis's id set that fails when it is iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the axis's id set was walked")
+
+
+def test_an_all_scoped_owner_goes_into_the_shared_mask_not_each_entry():
+    # Walking a resolved ALL scope entity by entity gives the same entries,
+    # but on an all-scoped 300 x 300 catalog one projection then takes
+    # over 20 times as long.
+    catalog = Catalog(
+        products=[Product("P1"), Product("P2")],
+        requirements=[
+            Requirement("r1", Kind.RL),
+            Requirement("r2", Kind.RL, applies_to_products={"P2", "ghost"}),
+        ],
+    )
+    vars(catalog)["product_ids"] = Unwalkable({"P1", "P2"})
+    assert dict(catalog.requirements_by_product) == {"P1": {"r1"}, "P2": {"r1", "r2"}}

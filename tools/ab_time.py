@@ -17,19 +17,22 @@ times, each step on a fresh parse of the file's bytes and right after
 * `io.load` of the catalog file, the path every CLI call takes;
 * `model.validate` of a freshly loaded catalog;
 * `refinement.build_graph` of a freshly loaded catalog;
-* five `cli.main` calls, each with stdout and stderr captured and each
+* six `cli.main` calls, each with stdout and stderr captured and each
   reading the file itself: `classify CATALOG --json` (step `classify`),
-  which reads no requirement scope map; `sets CATALOG --product P
-  --jurisdiction J --json` (step `sets`), one projection; `optimize
-  CATALOG --jurisdiction J --json` (step `optimize`), one jurisdiction's
-  strongest RL set; `optimize CATALOG --global --json` (step `global`),
-  whose `--json` payload, a list of kept ids and a list of records, is the
-  largest of the four; and `export CATALOG --view global --out FILE`
-  (step `view`), the benchmark's `wide` subprocess command, which reads
-  every entry of both requirement scope maps and writes one label per
-  (product, jurisdiction) pair to FILE, a file in a temporary directory.
-  P and J are the first product and jurisdiction ids of the loaded
-  catalog.
+  which reads no requirement scope map; `impact CATALOG --regulation R
+  --json` (step `impact`), one regulation's change impact, which reads
+  the regulation scope map and no requirement scope map; `sets CATALOG
+  --product P --jurisdiction J --json` (step `sets`), one projection;
+  `optimize CATALOG --jurisdiction J --json` (step `optimize`), one
+  jurisdiction's strongest RL set; `optimize CATALOG --global --json`
+  (step `global`), whose `--json` payload, a list of kept ids and a list
+  of records, is the largest of the five; and `export CATALOG --view
+  global --out FILE` (step `view`), the benchmark's `wide` subprocess
+  command, which reads every entry of both requirement scope maps and
+  writes one label per (product, jurisdiction) pair to FILE, a file in a
+  temporary directory.
+  P, J and R are the first product, jurisdiction and regulation ids of
+  the loaded catalog.
 
 It prints, per catalog and step, each side's median and quartiles in ms,
 the change of B against A in percent, and in how many pairs B was faster.
@@ -56,7 +59,8 @@ import time
 from pathlib import Path
 
 STEPS = (
-    "loads", "load", "validate", "build_graph", "classify", "sets", "optimize", "global", "view"
+    "loads", "load", "validate", "build_graph", "classify", "impact", "sets", "optimize",
+    "global", "view",
 )
 
 
@@ -87,8 +91,10 @@ def _calls(lib, path: str, out: str) -> dict[str, list[str]]:
     """The `cli.main` argument list of each CLI step; `view` writes to `out`."""
     catalog = lib.io.load(path)
     product, jurisdiction = catalog.products[0].id, catalog.jurisdictions[0].id
+    regulation = catalog.regulations[0].id
     return {
         "classify": ["classify", path, "--json"],
+        "impact": ["impact", path, "--regulation", regulation, "--json"],
         "sets": ["sets", path, "--product", product, "--jurisdiction", jurisdiction, "--json"],
         "optimize": ["optimize", path, "--jurisdiction", jurisdiction, "--json"],
         "global": ["optimize", path, "--global", "--json"],

@@ -91,13 +91,11 @@ MUTANTS = [
     # bitmap: the dense index, the shared "all" mask and the entries.
     ("bitmap", "if len(ids) == len(owners):", "if True:",
      "each row of a duplicated id sets its id's bit"),
-    ("bitmap", "                everywhere.append(row)\n", "",
+    ("bitmap", "                everywhere[row] = 1\n", "",
      'an "all"-scoped owner is in every entry of a scope map'),
     ("bitmap", "if scope is universe:", "if False:",
-     'one projection of an all-scoped 300 x 300 catalog holds under 5 MB: an "all"-scoped '
-     "owner goes once into the mask every entry shares, not into each entity's list"),
-    ("bitmap", "if members is None:  # another thread", "if False:  # another thread",
-     "an entry another reader made between the map's two lookups is read, not made again"),
+     'an "all"-scoped owner goes once into the mask every entry shares, and its scope, '
+     "the axis's id set, is not walked entity by entity"),
     ("model", "return next((kind for kind in cls if kind.value == value.upper()), None)",
      "return next((kind for kind in cls if kind.value == value), None)",
      "the constructors read a kind name in any case"),
@@ -108,6 +106,11 @@ MUTANTS = [
     ("refinement", "ids = sorted(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "ids = list(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "a dropped requirement's witness is its smallest dominating member"),
+    ("analysis", "    if not catalog.jurisdictions:\n"
+     '        raise EmptyCatalogError("shared regulations need at least one jurisdiction")\n'
+     "    by_jurisdiction",
+     "    by_jurisdiction",
+     "change_impact on a catalog with no jurisdictions is an EmptyCatalogError"),
     ("analysis", "affected_products = tuple(sorted(reached & products))",
      "affected_products = tuple(sorted(reached))",
      "change_impact skips a product id the catalog lacks"),
