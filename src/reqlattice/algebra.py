@@ -44,7 +44,8 @@ human-factor tags never affect set membership, only reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .bitmap import decode
@@ -147,8 +148,7 @@ def _result(catalog: Catalog, mask: int, kind: Kind | str | None = None) -> Requ
     return _masked(mask, catalog.requirement_index.ids)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """General part plus per-jurisdiction specific parts of one projection.
 
     For every jurisdiction j present: general and specific[j] are disjoint,
@@ -226,14 +226,17 @@ def shared_regulations(catalog: Catalog) -> SharedRegulations:
     For every jurisdiction j: core and complements[j] are disjoint and
     their union is exactly j's regulation set. Intersecting over zero
     jurisdictions is undefined, so an empty catalog is an error rather
-    than a silently fabricated universe.
+    than a silently fabricated universe. The core is the AND of the
+    jurisdictions' regulation masks and each complement a mask less the
+    core, and each of these sets is decoded once.
     """
     if not catalog.jurisdictions:
         raise EmptyCatalogError("shared regulations need at least one jurisdiction")
-    per_jurisdiction = dict(catalog.regulations_by_jurisdiction)  # each entry decoded once
-    core = frozenset.intersection(*per_jurisdiction.values())
-    complements = {jid: regs - core for jid, regs in per_jurisdiction.items()}
-    return SharedRegulations(core, complements)
+    regulations = catalog.regulations_by_jurisdiction
+    masks = {jid: regulations.mask(jid) for jid in regulations}
+    core = reduce(and_, masks.values())
+    complements = {jid: regulations.ids_of(mask & ~core) for jid, mask in masks.items()}
+    return SharedRegulations(regulations.ids_of(core), complements)
 
 
 def rl_min(catalog: Catalog, jurisdiction_id: str) -> RequirementSet:

@@ -15,11 +15,10 @@ confined to that jurisdiction's specific partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import and_, or_
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import (
     RequirementSet,
@@ -57,16 +56,14 @@ class ImpactScope(str, Enum):
     COUNTRY_SPECIFIC = "COUNTRY_SPECIFIC"
 
 
-@dataclass(frozen=True)
-class OverlapCase:
+class OverlapCase(NamedTuple):
     case: Overlap
     core_size: int
     per_jurisdiction_sizes: Mapping[str, int]
     recommendation: str
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     regulation: str
     in_core: bool
     affected_requirements: RequirementSet
@@ -75,8 +72,7 @@ class ImpactReport:
     jurisdictions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ReuseCluster:
+class ReuseCluster(NamedTuple):
     """Requirements sharing one applicability signature; a candidate for a
     single reusable component."""
 
@@ -85,8 +81,7 @@ class ReuseCluster:
     members: RequirementSet
 
 
-@dataclass(frozen=True)
-class ReuseReport:
+class ReuseReport(NamedTuple):
     rl_min: Mapping[str, RequirementSet]
     shared_across_all: RequirementSet
     clusters: tuple[ReuseCluster, ...]

@@ -112,8 +112,12 @@ class ScopeMap(Mapping[str, frozenset[str]]):
         """The mask of the owners whose scope holds `entity_id`."""
         return self._masks[entity_id]
 
+    def ids_of(self, mask: int) -> frozenset[str]:
+        """The owner ids whose bits `mask`, a mask over the owners' index, sets."""
+        return frozenset(decode(mask, self._ids))
+
     def __getitem__(self, entity_id: str) -> frozenset[str]:
-        return frozenset(decode(self._masks[entity_id], self._ids))
+        return self.ids_of(self._masks[entity_id])
 
     def __contains__(self, entity_id: object) -> bool:
         return entity_id in self._masks

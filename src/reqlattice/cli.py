@@ -9,7 +9,8 @@ Analytical commands refuse to run on catalogs with validation errors. Set
 REQLATTICE_NO_COLOR to disable ANSI styling.
 
 A call does only the work its command needs: `analysis` is imported by
-the three commands that call it (validate, classify, impact), the cyclic
+the three commands that call it (validate, classify, impact) and
+`refinement` by the five that build a graph (all but validate), the cyclic
 collector is paused while the command runs, and --json text is laid out
 by one writer whose strings go through json's C encoder.
 """
@@ -25,6 +26,7 @@ import os
 import sys
 from io import StringIO
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 from . import io as catalog_io
 from .algebra import (
@@ -36,7 +38,9 @@ from .algebra import (
 )
 from .errors import CatalogInvalidError, ReqlatticeError
 from .model import Catalog, Issue, Severity, find_warnings, validate
-from .refinement import RefinementGraph, build_graph, optimize, witnesses
+
+if TYPE_CHECKING:
+    from .refinement import RefinementGraph
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -138,6 +142,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _load_validated(path: str) -> tuple[Catalog, RefinementGraph]:
+    from .refinement import build_graph
+
     catalog = catalog_io.load(path)
     return catalog, build_graph(catalog)
 
@@ -196,6 +202,8 @@ def cmd_sets(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .refinement import optimize, witnesses
+
     catalog, graph = _load_validated(args.catalog)
     if args.jurisdiction is not None:
         base = jurisdiction_rl(catalog, args.jurisdiction)

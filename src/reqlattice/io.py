@@ -54,12 +54,12 @@ from __future__ import annotations
 import gc
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import algebra, refinement
+from . import algebra
 from .errors import (
     FocusForbiddenError,
     FocusRequiredError,
@@ -78,6 +78,9 @@ from .model import (
     Requirement,
     Scope,
 )
+
+if TYPE_CHECKING:
+    from .refinement import RefinementGraph
 
 CATALOG_VERSION = 1
 
@@ -501,22 +504,30 @@ class ViewKind(str, Enum):
     GLOBAL = "global"
 
 
-@dataclass(frozen=True)
-class GraphView:
-    """A renderable dependency view: labelled nodes and directed edges."""
-
+class _View(NamedTuple):
     kind: ViewKind
     nodes: tuple[tuple[str, str], ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        node_ids = [node_id for node_id, _ in self.nodes]
+
+class GraphView(_View):
+    """A renderable dependency view: labelled nodes and directed edges.
+    Making one checks that the node ids are distinct and that every edge
+    joins two of them."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: ViewKind, nodes: tuple[tuple[str, str], ...], edges: tuple[tuple[str, str], ...]
+    ) -> GraphView:
+        node_ids = [node_id for node_id, _ in nodes]
         if len(node_ids) != len(set(node_ids)):
             raise ValueError("duplicate node ids in graph view")
         known = set(node_ids)
-        for src, dst in self.edges:
+        for src, dst in edges:
             if src not in known or dst not in known:
                 raise ValueError(f"edge endpoint missing from view: {src} -> {dst}")
+        return super().__new__(cls, kind, nodes, edges)
 
 
 def _node_id(prefix: str, *ids: str) -> str:
@@ -576,14 +587,16 @@ def _product_view(catalog: Catalog, product_id: str) -> GraphView:
     return GraphView(ViewKind.PRODUCT_CENTRED, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
-def _global_view(catalog: Catalog, graph: refinement.RefinementGraph) -> GraphView:
+def _global_view(catalog: Catalog, graph: RefinementGraph) -> GraphView:
+    from .refinement import strongest_global, strongest_rl
+
     nodes: list[tuple[str, str]] = []
     edges: list[tuple[str, str]] = []
     if catalog.products and catalog.jurisdictions:
         for jurisdiction in catalog.jurisdictions:
             jid = jurisdiction.id
             minimum = algebra.rl_min(catalog, jid)
-            strongest = refinement.strongest_rl(catalog, graph, jid)
+            strongest = strongest_rl(catalog, graph, jid)
             min_node, star_node = _node_id("rl_min", jid), _node_id("rl_star", jid)
             nodes.append((min_node, f"RL minimum [{jid}]: " + _label_ids(minimum)))
             nodes.append((star_node, f"RL strongest [{jid}]: " + _label_ids(strongest)))
@@ -595,14 +608,14 @@ def _global_view(catalog: Catalog, graph: refinement.RefinementGraph) -> GraphVi
                 nodes.append((proj_node, f"RL [{pid}, {jid}]: " + _label_ids(projection)))
                 edges.append((proj_node, min_node))
                 edges.append((proj_node, star_node))
-        overall = refinement.strongest_global(catalog, graph)
+        overall = strongest_global(catalog, graph)
         nodes.append(("star", "Strongest overall: " + _label_ids(overall)))
     return GraphView(ViewKind.GLOBAL, tuple(sorted(nodes)), tuple(sorted(edges)))
 
 
 def build_view(
     catalog: Catalog,
-    graph: refinement.RefinementGraph,
+    graph: RefinementGraph,
     kind: ViewKind | str,
     focus: str | None = None,
 ) -> GraphView:

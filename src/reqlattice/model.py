@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, not_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .bitmap import DenseIndex, ScopeMap, decode, mask_of
 
@@ -365,8 +365,7 @@ RL_COVERAGE = "RL_COVERAGE"
 IMPLICATION_VIOLATED = "IMPLICATION_VIOLATED"
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     """One violation: a code, a human-readable message, and the offending ids."""
 
     severity: Severity
@@ -378,8 +377,7 @@ class Issue:
         return (self.code, self.ids)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """The errors `validate` found, sorted by `Issue.sort_key`; `find_warnings`
     finds the warnings."""
 

@@ -28,7 +28,6 @@ reachability and exists purely as an independent correctness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
 from . import algebra
@@ -62,7 +61,6 @@ def _descend(
     return reached
 
 
-@dataclass(frozen=True)
 class RefinementGraph:
     """The declared stronger->weaker edges of a validated catalog.
 
@@ -70,13 +68,24 @@ class RefinementGraph:
     keys are the nodes. Only `build_graph` makes a graph. Descendant sets are
     filled in per source on first use by `descendants`. They depend only on
     the immutable edges, so concurrent readers computing the same set store
-    equal values and need no locking.
+    equal values and need no locking. Two graphs are equal when their edges
+    are; a graph is unhashable, as its `direct` dict is.
     """
 
-    direct: Mapping[str, frozenset[str]]
+    __slots__ = ("direct", "_below")
+    __match_args__ = ("direct",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_below", {})
+    def __init__(self, direct: Mapping[str, frozenset[str]]) -> None:
+        self.direct = direct
+        self._below: dict[str, frozenset[str]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.direct == other.direct
+
+    def __repr__(self) -> str:
+        return f"RefinementGraph(direct={self.direct!r})"
 
     def descendants(self, requirement_id: str) -> frozenset[str]:
         """Every requirement weaker than `requirement_id` (reachable from it)."""

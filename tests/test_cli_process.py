@@ -1,10 +1,11 @@
 """What a `reqlattice` process pays besides its answer.
 
 A CLI call imports `reqlattice.analysis` only for the commands that call
-it, runs its command with the cyclic collector paused, writes `--json`
-text through one writer with C-encoded leaves, and exits 2 with one
-`error:` line when its stdout cannot take its text (the reader has gone,
-or the device is full), argparse's help text included. When its stderr
+it and `reqlattice.refinement` only for those that build a graph, runs
+its command with the cyclic collector paused, writes `--json` text
+through one writer with C-encoded leaves, and exits 2 with one `error:`
+line when its stdout cannot take its text (the reader has gone, or the
+device is full), argparse's help text included. When its stderr
 cannot take its text, the exit code stays as it is.
 """
 
@@ -68,39 +69,41 @@ def _python(
 
 # -- imports ------------------------------------------------------------------
 
-COMMANDS_SCRIPT = """
+MODULES_SCRIPT = """
 import contextlib, io, json, sys
 from reqlattice import cli
-seen = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(argv)
-    seen.append([code, "reqlattice.analysis" in sys.modules, out.getvalue()])
-print(json.dumps(seen))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(json.loads(sys.argv[1]))
+loaded = sorted(m.removeprefix("reqlattice.") for m in sys.modules if m.startswith("reqlattice."))
+print(json.dumps([code, loaded, out.getvalue()]))
 """
+# The modules every command loads: the CLI, the loader and the set algebra.
+CORE = ["algebra", "bitmap", "cli", "errors", "io", "model"]
+
+
+# Each command and the modules it loads besides CORE: `validate` builds no
+# graph, and only the analytical commands call `analysis`.
+COMMAND_MODULES = [
+    (["validate", PARTIAL, "--json"], ["analysis"]),
+    (["classify", PARTIAL, "--json"], ["analysis", "refinement"]),
+    (["impact", PARTIAL, "--regulation", "g", "--json"], ["analysis", "refinement"]),
+    (["sets", PARTIAL, "--product", "P1", "--json"], ["refinement"]),
+    (["optimize", PARTIAL, "--global", "--json"], ["refinement"]),
+    (["export", PARTIAL, "--view", "global", "--out", "{out}", "--json"], ["refinement"]),
+]
 
 
 @pytest.mark.parametrize(
-    "analytical",
-    [
-        ["validate", PARTIAL, "--json"],
-        ["classify", PARTIAL, "--json"],
-        ["impact", PARTIAL, "--regulation", "g", "--json"],
-    ],
-    ids=lambda argv: argv[0],
+    "argv, extra", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES]
 )
-def test_only_the_analytical_commands_import_analysis(analytical, tmp_path, capsys):
-    lean = [
-        ["sets", PARTIAL, "--product", "P1", "--json"],
-        ["optimize", PARTIAL, "--global", "--json"],
-        ["export", PARTIAL, "--view", "global", "--out", str(tmp_path / "g.dot"), "--json"],
-    ]
-    done = _python("-c", COMMANDS_SCRIPT, json.dumps(lean + [analytical]))
+def test_each_command_loads_only_the_modules_it_runs(argv, extra, tmp_path, capsys):
+    argv = [part.format(out=tmp_path / "view.dot") for part in argv]
+    done = _python("-c", MODULES_SCRIPT, json.dumps(argv))
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout)
-    assert [(code, loaded) for code, loaded, _ in seen] == [(0, False)] * 3 + [(0, True)]
-    assert cli.main(analytical) == 0
-    assert seen[-1][2] == capsys.readouterr().out
+    code, loaded, out = json.loads(done.stdout)
+    assert (code, loaded) == (0, sorted(CORE + extra))
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_importing_the_cli_leaves_analysis_unloaded():

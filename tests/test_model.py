@@ -259,7 +259,7 @@ def test_duplicated_regulation_id_covers_the_union_of_its_scopes():
 
 
 def test_a_report_is_its_errors_and_nothing_else():
-    assert [f.name for f in dataclasses.fields(ValidationReport)] == ["errors"]
+    assert ValidationReport.__match_args__ == ("errors",)
     assert ValidationReport().ok
     assert validate(Catalog()) == ValidationReport()
     # A warned-about catalog validates to the empty report; its warnings are

@@ -30,7 +30,10 @@ times, each step on a fresh parse of the file's bytes and right after
   global --out FILE` (step `view`), the benchmark's `wide` subprocess
   command, which reads every entry of both requirement scope maps and
   writes one label per (product, jurisdiction) pair to FILE, a file in a
-  temporary directory.
+  temporary directory. FILE is deleted before each timed call, as
+  `bench/run.py` deletes its out file before each call: truncating the
+  file a previous call wrote (625 KB on `wide`) costs more than the
+  call's own work.
   P, J and R are the first product, jurisdiction and regulation ids of
   the loaded catalog.
 
@@ -102,8 +105,9 @@ def _calls(lib, path: str, out: str) -> dict[str, list[str]]:
     }
 
 
-def _side(lib, path: str, data: bytes, calls: dict[str, list[str]]) -> dict[str, float]:
-    """One run of every step; the milliseconds per step."""
+def _side(lib, path: str, data: bytes, calls: dict[str, list[str]], out: str) -> dict[str, float]:
+    """One run of every step; the milliseconds per step. `out` is the
+    file the `view` step writes."""
     times = {"loads": _timed(lambda: lib.io.loads(data))}
     times["load"] = _timed(lambda: lib.io.load(path))
     catalog = lib.io.loads(data)
@@ -114,6 +118,7 @@ def _side(lib, path: str, data: bytes, calls: dict[str, list[str]]) -> dict[str,
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         for step, argv in calls.items():
+            Path(out).unlink(missing_ok=True)
             times[step] = _timed(lambda: lib.cli.main(argv))
     return times
 
@@ -143,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             times = {(side, step): [] for side in sides for step in STEPS}
             for pair in range(args.pairs):
                 for side in (("A", "B") if pair % 2 == 0 else ("B", "A")):
-                    for step, ms in _side(sides[side], path, data, calls).items():
+                    for step, ms in _side(sides[side], path, data, calls, out).items():
                         times[side, step].append(ms)
             print(f"\n{path}")
             for step, argv in calls.items():

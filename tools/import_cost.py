@@ -15,8 +15,9 @@ tables.
   `__pycache__` under SRC every run compiles the package from source.
 * Modules per command. For each CLI command, one fresh interpreter imports
   `reqlattice.cli`, runs `cli.main` on CATALOG (default
-  `tests/data/partial.reqcat.json`, whose ids the commands name) and
-  lists the `reqlattice.*` modules it then holds.
+  `tests/data/partial.reqcat.json`) and lists the `reqlattice.*` modules
+  it then holds. `sets` names the catalog's first product id and `impact`
+  its first regulation id, in id order as a loaded catalog keeps them.
 * Parser tokens. For every module of each tree, the tokens that CPython's
   parser reads: `tokenize`'s tokens without COMMENT, NL and ENCODING. A
   module past 4,096 tokens is marked `*`: CPython 3.11's parser grows its
@@ -27,6 +28,7 @@ tables.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -37,10 +39,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = (
     ["validate", "{catalog}"],
-    ["sets", "{catalog}", "--product", "P1", "--json"],
+    ["sets", "{catalog}", "--product", "{product}", "--json"],
     ["optimize", "{catalog}", "--global", "--json"],
     ["classify", "{catalog}", "--json"],
-    ["impact", "{catalog}", "--regulation", "g", "--json"],
+    ["impact", "{catalog}", "--regulation", "{regulation}", "--json"],
     ["export", "{catalog}", "--view", "global", "--out", "{out}", "--json"],
 )
 TOKEN_THRESHOLD = 4096
@@ -128,11 +130,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:24s}" + "".join(cells))
     print(f"{'total':24s}" + "".join(f"{sum(side.values()):9.2f}" for side in best))
 
+    document = json.loads(Path(args.catalog).read_bytes())
+    names = {
+        "catalog": args.catalog,
+        "product": min(product["id"] for product in document["products"]),
+        "regulation": min(regulation["id"] for regulation in document["regulations"]),
+    }
     print(f"\nmodules each command loads, on {args.catalog}")
     with tempfile.TemporaryDirectory() as scratch:
         out = str(Path(scratch, "view.dot"))
         for command in COMMANDS:
-            argv_ = [part.format(catalog=args.catalog, out=out) for part in command]
+            argv_ = [part.format(out=out, **names) for part in command]
             for label, src in zip(labels, args.srcs):
                 code, _, loaded = _python(src, "-c", COMMAND_SCRIPT, *argv_).strip().partition(" ")
                 print(f"{label} {command[0]:9s} exit {code}: {loaded}")

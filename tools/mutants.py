@@ -103,6 +103,8 @@ MUTANTS = [
     ("algebra", "if kind is not None:\n        mask &=",
      "if False:\n        mask &=",
      "a projection, or a product union, restricted to one kind"),
+    ("algebra", "regulations.ids_of(mask & ~core)", "regulations.ids_of(mask)",
+     "a jurisdiction's complement leaves out the shared core"),
     ("refinement", "ids = sorted(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "ids = list(kept.members if isinstance(kept, RequirementSet) else set(kept))",
      "a dropped requirement's witness is its smallest dominating member"),
